@@ -421,12 +421,15 @@ def cmd_potential_trace(params: dict, master_seed, trials):
         records = trace.records
         generators = code.generators
     else:
-        linear = constructors.random_linear_code(n, k, rng)
-        generators = linear.generators
+        generators = constructors.random_linear_code(n, k, rng).generators
+        records = None
+    profiles = [
+        listsize.list_profile(listsize.LinearCode(n, generators[:i]), radius)
+        for i in range(len(generators) + 1)
+    ]
+    if records is None:
         records = []
-        for i in range(k + 1):
-            prefix = listsize.LinearCode(n, generators[:i])
-            profile = listsize.list_profile(prefix, radius)
+        for i, profile in enumerate(profiles):
             value, excess = potential_fields(profile, epsilon)
             records.append(
                 constructors.StepRecord(step=i, value=value, excess=excess, retries=0)
@@ -434,15 +437,16 @@ def cmd_potential_trace(params: dict, master_seed, trials):
     envelope = listsize.envelope_trace(n, radius, epsilon, k)
     steps = []
     for rec in records:
-        delta = envelope.deltas[rec.step]
         steps.append(
             {
                 "step": rec.step,
                 "S": rec.value,
                 "T": rec.excess,
                 "retries": rec.retries,
-                "delta": delta,
-                "within_envelope": rec.excess <= delta,
+                "delta": envelope.deltas[rec.step],
+                "within_envelope": listsize.excess_within_envelope(
+                    profiles[rec.step], epsilon, rec.step
+                ),
             }
         )
     result = {

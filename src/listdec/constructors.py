@@ -3,6 +3,7 @@ incremental builder, and a resampling constructor for the local-lemma regime."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
     POTENTIAL_PREC,
     LinearCode,
-    certify_table,
+    check_scatter_caps,
     list_size_table,
     potential,
     profile_from_table,
@@ -24,6 +25,8 @@ from .listsize import (
 )
 
 DEFAULT_MAX_RETRIES = 64
+# Bound on the transient center array of one incremental resampling update.
+BALL_CHUNK_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,14 @@ class MoserTardosResult:
     events: tuple[ResampleEvent, ...]
 
 
+def _ball_centers(words: np.ndarray, ball: np.ndarray):
+    """Every center x ^ e for x in words, e in ball, in chunks of at most
+    BALL_CHUNK_PAIRS entries (duplicates kept: one entry per word-ball pair)."""
+    chunk = max(1, BALL_CHUNK_PAIRS // len(ball))
+    for start in range(0, len(words), chunk):
+        yield (words[start : start + chunk, None] ^ ball[None, :]).ravel()
+
+
 def moser_tardos_construct(
     n: int,
     radius: int,
@@ -251,40 +262,71 @@ def moser_tardos_construct(
 ) -> MoserTardosResult:
     """Draw words uniformly, then repeatedly resample every message whose
     encoding lies in the ball of the least overfull center, until every
-    center's list size is at most max_list."""
+    center's list size is at most max_list.
+
+    The list-size table is built once; each round subtracts the balls of the
+    resampled messages' old words and adds those of their fresh words, so a
+    round costs O(|resampled| * Vol).  The least overfull center comes from
+    ascending queues of overfull centers, kept up to date from the centers
+    each round touched, never from a scan of the table."""
     if max_rounds is None:
         max_rounds = 10 * num_messages
     if max_rounds < 1:
         raise InvalidParameterError(f"max_rounds must be at least 1, got {max_rounds}")
+    if max_list < 1:
+        raise InvalidParameterError(f"max_list must be at least 1, got {max_list}")
     if not 1 <= num_messages <= (1 << n):
         raise InvalidParameterError(f"message count must be in [1, 2^{n}]")
     if not 0 <= radius <= n:
         raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
+    check_scatter_caps(n, num_messages * hamming_volume(n, radius))
     ball = ball_masks(n, radius)
     words = rng.bit_array(n, num_messages)
+    table = scatter_table(words, ball, n)
+    # Every overfull center waits in one of two ascending queues: those of the
+    # first table, an int64 array read from a cursor, and a heap of those that
+    # crossed max_list in a later round.  (One heap of Python ints would take
+    # several times the table's memory when most centers start overfull.)  An
+    # entry whose count has dropped is skipped when it reaches the head.
+    first = np.flatnonzero(table > max_list)
+    head = 0
+    later: list[int] = []
     events: list[ResampleEvent] = []
     rounds = 0
     while True:
-        table = scatter_table(words, ball, n)
-        ok, witness, _ = certify_table(table, max_list)
-        if ok:
+        while head < len(first) and table[first[head]] <= max_list:
+            head += 1
+        while later and table[later[0]] <= max_list:
+            heapq.heappop(later)
+        heads = ([int(first[head])] if head < len(first) else []) + later[:1]
+        if not heads:
             break
         if rounds >= max_rounds:
             partial = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
             raise ConstructionError(
                 f"no decodable table after {max_rounds} rounds", partial=partial
             )
-        center = np.int64(witness)
-        inside = np.nonzero(popcount_array(words ^ center) <= radius)[0]
-        old = tuple(int(words[i]) for i in inside)
+        witness = min(heads)
+        inside = np.nonzero(popcount_array(words ^ np.int64(witness)) <= radius)[0]
+        old = words[inside]
         fresh = rng.bit_array(n, len(inside))
         words[inside] = fresh
+        for centers in _ball_centers(old, ball):
+            np.subtract.at(table, centers, 1)
+        # Only centers in a fresh ball gained, and the adds never lower a
+        # count, so a center that turns overfull crosses max_list in exactly
+        # one chunk; one still overfull after the subtraction is queued already.
+        for centers in _ball_centers(fresh, ball):
+            below = table[centers] <= max_list
+            np.add.at(table, centers, 1)
+            for c in set(centers[below & (table[centers] > max_list)].tolist()):
+                heapq.heappush(later, c)
         events.append(
             ResampleEvent(
                 round_index=rounds,
-                center=int(witness),
+                center=witness,
                 message_indices=tuple(int(i) for i in inside),
-                old_words=old,
+                old_words=tuple(int(w) for w in old),
                 new_words=tuple(int(w) for w in fresh),
             )
         )

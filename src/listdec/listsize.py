@@ -125,6 +125,17 @@ class Certificate:
     max_list: int
 
 
+def check_scatter_caps(universe_bits: int, increments: int) -> None:
+    """Raise ResourceLimitError before a scatter table of 2^universe_bits
+    counters, fed by this many ball increments, is allocated."""
+    if universe_bits > PROFILE_MAX_BITS:
+        raise ResourceLimitError(
+            f"profile table needs 2^{universe_bits} counters (cap 2^{PROFILE_MAX_BITS})"
+        )
+    if increments > SCATTER_MAX:
+        raise ResourceLimitError(f"scatter would need {increments} increments (cap {SCATTER_MAX})")
+
+
 def scatter_table(
     words: np.ndarray, ball: np.ndarray, universe_bits: int, chunk_pairs: int = 1 << 24
 ) -> np.ndarray:
@@ -132,14 +143,8 @@ def scatter_table(
 
     chunk_pairs bounds the size of the transient XOR matrix.
     """
-    if universe_bits > PROFILE_MAX_BITS:
-        raise ResourceLimitError(
-            f"profile table needs 2^{universe_bits} counters (cap 2^{PROFILE_MAX_BITS})"
-        )
+    check_scatter_caps(universe_bits, len(words) * len(ball))
     size = 1 << universe_bits
-    increments = len(words) * len(ball)
-    if increments > SCATTER_MAX:
-        raise ResourceLimitError(f"scatter would need {increments} increments (cap {SCATTER_MAX})")
     table = np.zeros(size, dtype=np.int64)
     if len(words) == 0 or len(ball) == 0:
         return table
@@ -460,6 +465,27 @@ def _iv_excess(ctx, profile: ListProfile, epsilon: float):
     return total / (ctx.mpf(2) ** profile.universe_bits) - 1
 
 
+def _iv_envelope(ctx, n: int, radius: int, epsilon: float, steps: int) -> list:
+    """delta_0..delta_steps of the growth envelope, as intervals of ctx."""
+    h = precise.iv_entropy(ctx, radius, n)
+    eps = ctx.mpf(epsilon)
+    d = ctx.mpf(2) ** (-(n * (1 - h - eps / (1 + eps))))
+    deltas = [d]
+    for _ in range(steps):
+        d = 2 * d + d ** ctx.mpf(1.5)
+        deltas.append(d)
+    return deltas
+
+
+def excess_within_envelope(profile: ListProfile, epsilon: float, step: int) -> bool:
+    """Certified T <= delta_step: the exact excess of the profile against the
+    envelope recurrence that envelope_trace iterates."""
+    return precise.certified_le(
+        lambda ctx: _iv_excess(ctx, profile, epsilon),
+        lambda ctx: _iv_envelope(ctx, profile.block_length, profile.radius, epsilon, step)[step],
+    )
+
+
 @dataclass(frozen=True)
 class EnvelopeTrace:
     """The growth envelope delta_i = 2 delta_{i-1} + delta_{i-1}^1.5."""
@@ -528,17 +554,11 @@ def envelope_trace(n: int, radius: int, epsilon: float, steps: int) -> EnvelopeT
         prec = 2 * precise.DEFAULT_PREC
         while prec <= precise.MAX_PREC * 4:
             iv.prec = prec
-            h = precise.iv_entropy(iv, radius, n)
-            eps = iv.mpf(epsilon)
-            expo = n * (1 - h - eps / (1 + eps))
-            delta0 = iv.mpf(2) ** (-expo)
-            deltas = [delta0]
-            comparisons = []
-            d = delta0
-            for i in range(1, steps + 1):
-                d = 2 * d + d ** iv.mpf(1.5)
-                deltas.append(d)
-                comparisons.append(d < iv.mpf(2) ** (i + 1) * delta0)
+            deltas = _iv_envelope(iv, n, radius, epsilon, steps)
+            delta0 = deltas[0]
+            comparisons = [
+                deltas[i] < iv.mpf(2) ** (i + 1) * delta0 for i in range(1, steps + 1)
+            ]
             if all(c is not None for c in comparisons):
                 violations = tuple(i + 1 for i, c in enumerate(comparisons) if c is False)
                 floats = tuple(float(mpf(x.a) + mpf(x.b)) / 2 for x in deltas)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import os
 
+import mpmath
 import pytest
 
+from listdec import BitVector, LinearCode, list_profile
 from listdec.cli import main
 
 
@@ -187,6 +189,47 @@ class TestPotentialTrace:
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["result"]["guided"] is True
+
+    @staticmethod
+    def recomputed_verdicts(result: dict) -> list[bool]:
+        """T_i <= delta_i for every step, recomputed at 600 bits from the
+        prefix codes' profiles and the envelope recurrence."""
+        n, radius, eps = result["n"], result["r"], result["epsilon"]
+        gens = tuple(BitVector.from_string(g) for g in result["generators"])
+        verdicts = []
+        with mpmath.workprec(600):
+            e = mpmath.mpf(eps) * n / (1 + mpmath.mpf(eps))
+            p = mpmath.mpf(radius) / n
+            h = -(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2))
+            delta = mpmath.mpf(2) ** (-n * (1 - h - mpmath.mpf(eps) / (1 + mpmath.mpf(eps))))
+            for step in range(len(result["steps"])):
+                profile = list_profile(LinearCode(n, gens[:step]), radius)
+                total = sum(c * mpmath.mpf(2) ** (e * ell) for ell, c in profile.counts)
+                excess = total / mpmath.mpf(2) ** n - 1
+                assert abs(excess - delta) > mpmath.mpf(2) ** -500 * delta
+                verdicts.append(bool(excess <= delta))
+                delta = 2 * delta + delta ** mpmath.mpf(1.5)
+        return verdicts
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_within_envelope_matches_high_precision(self, tmp_path, guided):
+        seen = []
+        for seed in (0, 1, 2):
+            out = tmp_path / f"env{seed}.json"
+            args = [
+                "potential-trace", "--n", "12", "--k", "5", "--radius", "2",
+                "--epsilon", "0.6", "--seed", str(seed), "--out", str(out),
+            ]
+            if run_cli(*args, *(["--guided"] if guided else [])) != 0:
+                continue  # the guided builder ran out of retries at this seed
+            result = json.loads(out.read_text())["result"]
+            verdicts = [s["within_envelope"] for s in result["steps"]]
+            assert verdicts == self.recomputed_verdicts(result)
+            seen.extend(verdicts)
+        assert True in seen
+        if not guided:
+            # Seed 2's random chain leaves the envelope at its last step.
+            assert False in seen
 
 
 class TestSweep:

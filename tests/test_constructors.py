@@ -7,10 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdec import (
+    BitVector,
+    CodeTable,
     ConstructionError,
     InvalidParameterError,
+    MoserTardosResult,
+    ResourceLimitError,
     Rng,
     certify,
     hamming_volume,
@@ -21,6 +27,10 @@ from listdec import (
     uniform_random_code,
     verify_trace,
 )
+from listdec import constructors
+from listdec.constructors import ResampleEvent
+from listdec.gf2 import ball_masks, popcount_array
+from listdec.listsize import certify_table, scatter_table
 
 
 class TestRandomLinear:
@@ -184,3 +194,118 @@ class TestMoserTardos:
         with pytest.raises(ConstructionError) as info:
             moser_tardos_construct(2, 1, 4, 1, Rng(57, 0), max_rounds=5)
         assert info.value.partial.num_messages == 4
+
+
+def rebuild_moser_tardos(n, radius, num_messages, max_list, rng, max_rounds=None):
+    """Oracle twin of moser_tardos_construct: rebuilds the whole list-size
+    table from all words every round and scans it for the least overfull
+    center."""
+    if max_rounds is None:
+        max_rounds = 10 * num_messages
+    ball = ball_masks(n, radius)
+    words = rng.bit_array(n, num_messages)
+    events = []
+    rounds = 0
+    while True:
+        table = scatter_table(words, ball, n)
+        ok, witness, _ = certify_table(table, max_list)
+        if ok:
+            break
+        if rounds >= max_rounds:
+            partial = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
+            raise ConstructionError(
+                f"no decodable table after {max_rounds} rounds", partial=partial
+            )
+        inside = np.nonzero(popcount_array(words ^ np.int64(witness)) <= radius)[0]
+        old = tuple(int(words[i]) for i in inside)
+        fresh = rng.bit_array(n, len(inside))
+        words[inside] = fresh
+        events.append(
+            ResampleEvent(
+                round_index=rounds,
+                center=int(witness),
+                message_indices=tuple(int(i) for i in inside),
+                old_words=old,
+                new_words=tuple(int(w) for w in fresh),
+            )
+        )
+        rounds += 1
+    code = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
+    return MoserTardosResult(code=code, rounds=rounds, events=tuple(events))
+
+
+def mt_outcome(construct, *args, **kwargs):
+    try:
+        res = construct(*args, **kwargs)
+    except ConstructionError as exc:
+        return ("error", str(exc), exc.partial)
+    return ("ok", res.code, res.rounds, res.events)
+
+
+@st.composite
+def mt_points(draw):
+    n = draw(st.integers(1, 12))
+    radius = draw(st.integers(0, min(3, n)))
+    max_list = draw(st.integers(1, 4))
+    cap = min(64, 1 << n)
+    # The second branch favours many messages per ball, where rounds are needed.
+    messages = draw(st.integers(1, cap) | st.integers(max(1, cap // 2), cap))
+    seed = draw(st.integers(0, 2**32 - 1))
+    max_rounds = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return n, radius, messages, max_list, seed, max_rounds
+
+
+class TestMoserTardosIncremental:
+    @settings(max_examples=150, deadline=None)
+    @given(mt_points())
+    def test_matches_rebuild_oracle(self, point):
+        n, radius, messages, max_list, seed, max_rounds = point
+        args = (n, radius, messages, max_list)
+        fast = mt_outcome(moser_tardos_construct, *args, Rng(seed, 1), max_rounds=max_rounds)
+        slow = mt_outcome(rebuild_moser_tardos, *args, Rng(seed, 1), max_rounds=max_rounds)
+        assert fast == slow
+
+    # (12, 1, 64, 2) converges after 0-9 rounds; (10, 2, 40, 2) exhausts 30.
+    SWEEP = ((12, 1, 64, 2, None), (10, 2, 40, 2, 30))
+
+    def sweep_against_oracle(self):
+        rounds = []
+        for *args, max_rounds in self.SWEEP:
+            for seed in range(20):
+                fast = mt_outcome(
+                    moser_tardos_construct, *args, Rng(77, seed), max_rounds=max_rounds
+                )
+                slow = mt_outcome(rebuild_moser_tardos, *args, Rng(77, seed), max_rounds=max_rounds)
+                assert fast == slow
+                rounds.append(fast[2] if fast[0] == "ok" else "exhausted")
+        assert sum(1 for r in rounds if r != "exhausted" and r > 1) >= 10
+        assert rounds.count("exhausted") == 20
+
+    def test_resampling_sweep_matches_oracle(self):
+        self.sweep_against_oracle()
+
+    def test_chunked_updates_match_oracle(self, monkeypatch):
+        # Chunks smaller than one ball: every update spans many chunks, and a
+        # center reaches its final count only in its last chunk.
+        monkeypatch.setattr(constructors, "BALL_CHUNK_PAIRS", 5)
+        self.sweep_against_oracle()
+
+
+class TestMoserTardosGuards:
+    def test_zero_list_budget_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            moser_tardos_construct(8, 1, 16, 0, Rng(9, 0))
+
+    def test_table_cap_before_any_draw(self):
+        rng = Rng(61, 0)
+        with pytest.raises(ResourceLimitError):
+            moser_tardos_construct(27, 1, 3, 2, rng)
+        assert rng.bits(27) == Rng(61, 0).bits(27)
+
+    def test_increment_cap_before_any_draw(self):
+        # M * Vol(26, 13) is about 2^35 increments, far over the 2^30 cap; the
+        # 2^25-word ball must not be enumerated.
+        rng = Rng(62, 0)
+        with pytest.raises(ResourceLimitError):
+            moser_tardos_construct(26, 13, 1024, 3, rng)
+        assert rng.bits(26) == Rng(62, 0).bits(26)
