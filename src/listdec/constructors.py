@@ -18,13 +18,20 @@ from .listsize import (
     POTENTIAL_PREC,
     LinearCode,
     check_scatter_caps,
-    list_size_table,
+    coset_counts,
+    coset_profile,
+    coset_reduce,
+    hamming_ball,
+    iv_excess,
+    list_profile,
     potential,
-    profile_from_table,
     scatter_table,
 )
 
 DEFAULT_MAX_RETRIES = 64
+# Relative distance of the two sides of a guided accept below which the
+# POTENTIAL_PREC comparison is decided again; its own error is far smaller.
+RECHECK_MARGIN = 1e-12
 # Bound on the transient center array of one incremental resampling update.
 BALL_CHUNK_PAIRS = 1 << 24
 
@@ -105,21 +112,26 @@ def potential_guided_code(
     rule "step" accepts when S_new <= 1 + 2T + T^1.5; rule "square" uses the
     in-expectation bound S_new <= S^2 instead.  Candidates already inside the
     span are redrawn without consuming the retry budget.
+
+    Each candidate b is scored by the coset engine on span(C, b): the ball,
+    built once, is kept reduced modulo C, and reducing it by b (itself
+    reduced modulo C) gives the least coset elements of span(C, b), so a
+    candidate costs O(|B| log |B|) whatever n is.  The accept is decided at
+    POTENTIAL_PREC bits, and again, exactly or in certified intervals, when
+    the two sides are within RECHECK_MARGIN of each other.
     """
     if not 0 <= k <= n or n > 26:
         raise InvalidParameterError(f"need 0 <= k <= n <= 26, got k = {k}, n = {n}")
     if rule not in ("step", "square"):
         raise InvalidParameterError(f"unknown acceptance rule {rule!r}")
 
-    def state_of(table: np.ndarray):
-        return potential(profile_from_table(table, n, radius), epsilon)
-
     basis = SpanBasis()
     gens: list[BitVector] = []
-    table = scatter_table(np.zeros(1, dtype=np.int64), ball_masks(n, radius), n)
-    state = state_of(table)
+    reduced = hamming_ball(n, radius)  # the ball words, reduced modulo the code
+    _, mult = coset_counts(basis, reduced)
+    profile = coset_profile(mult, 0, n, n, radius)
+    state = potential(profile, epsilon)
     records = [StepRecord(step=0, value=state.value_float, excess=state.excess_float, retries=0)]
-    idx = np.arange(1 << n, dtype=np.int64)
 
     def fail(msg: str):
         trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
@@ -143,12 +155,16 @@ def potential_guided_code(
                 if basis.dim == n:
                     fail(f"step {step}: span is already the full space")
                 continue
-            candidate = table + table[idx ^ np.int64(b)]
-            cand_state = state_of(candidate)
-            if cand_state.value <= threshold:
+            b_reduced = int(coset_reduce(basis, [b])[0])
+            cand_reduced = coset_reduce(SpanBasis([b_reduced]), reduced)
+            _, mult = np.unique(cand_reduced, return_counts=True)
+            cand_profile = coset_profile(mult, basis.dim + 1, n, n, radius)
+            cand_state = potential(cand_profile, epsilon)
+            if _accepts(profile, cand_profile, cand_state.value, threshold, epsilon, rule):
                 basis.insert(b)
                 gens.append(BitVector(n, b))
-                table = candidate
+                reduced = cand_reduced
+                profile = cand_profile
                 state = cand_state
                 records.append(
                     StepRecord(
@@ -167,16 +183,68 @@ def potential_guided_code(
     return code, trace
 
 
+def _accepts(profile, cand_profile, value, threshold, epsilon: float, rule: str) -> bool:
+    """S(cand_profile) <= the rule's threshold on profile.
+
+    value and threshold are the two sides at POTENTIAL_PREC bits; their
+    comparison decides unless they are within RECHECK_MARGIN.  Then two equal
+    sides accept, decided exactly, and unequal ones are compared in certified
+    intervals, which terminates because they differ."""
+    if abs(value - threshold) > threshold * RECHECK_MARGIN:
+        return value <= threshold
+    e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
+    if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
+        return True
+
+    def bound(ctx):
+        t = iv_excess(ctx, profile, epsilon)
+        return 1 + 2 * t + t ** ctx.mpf(1.5) if rule == "step" else (1 + t) ** 2
+
+    return precise.certified_le(lambda ctx: 1 + iv_excess(ctx, cand_profile, epsilon), bound)
+
+
+def _threshold_gap(profile, cand_profile, rule: str) -> dict[int, int]:
+    """An integer polynomial in z = 2^e, e the potential exponent, that
+    vanishes at z exactly when the accept's two sides are equal (or, for the
+    step rule, when S_new = 1 + 2T - T^1.5, which accepts as well).
+
+    With u = 2^universe_bits, P(z) = u S and Q(z) = u S_new are the profiles'
+    sums.  Square rule: S_new = S^2 iff u Q - P^2 = 0.  Step rule: with
+    A = Q - 2P + u = u (S_new - 1 - 2T) and R = P - u = u T,
+    S_new = 1 + 2T +- T^1.5 iff A^2 = u^-1 R^3, i.e. u A^2 - R^3 = 0."""
+    u = 1 << profile.universe_bits
+    p, q = dict(profile.counts), dict(cand_profile.counts)
+    if rule == "square":
+        return _poly_sum((u, q), (-1, _poly_mul(p, p)))
+    a = _poly_sum((1, q), (-2, p), (u, {0: 1}))
+    r = _poly_sum((1, p), (-u, {0: 1}))
+    return _poly_sum((u, _poly_mul(a, a)), (-1, _poly_mul(r, _poly_mul(r, r))))
+
+
+def _poly_sum(*terms: tuple[int, dict[int, int]]) -> dict[int, int]:
+    """sum of c * poly over (c, poly) terms; polynomials map exponent -> coefficient."""
+    out: dict[int, int] = {}
+    for c, poly in terms:
+        for j, x in poly.items():
+            out[j] = out.get(j, 0) + c * x
+    return out
+
+
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
 def verify_trace(code: LinearCode, trace: PotentialTrace) -> float:
     """Recompute every step's potential from scratch; returns the worst
     relative deviation from the tracked values."""
     worst = 0.0
     for i in range(len(code.generators) + 1):
         prefix = LinearCode(code.n, code.generators[:i])
-        state = potential(
-            profile_from_table(list_size_table(prefix, trace.radius), code.n, trace.radius),
-            trace.epsilon,
-        )
+        state = potential(list_profile(prefix, trace.radius), trace.epsilon)
         tracked = trace.records[i].value
         fresh = state.value_float
         denom = max(abs(fresh), 1.0)

@@ -1,9 +1,21 @@
 """Exact list-size profiles, certification, tail statistics and potentials.
 
-The central object is the list-size table L[x] = |B(x, r) ∩ C| over every
-center x, computed by scattering each codeword's ball into a 2^n counter
-table.  Histograms, tail statistics, potentials and the analytic inequality
-checks derive from it.  A per-center pairwise-distance recount serves as the
+The central object is the list size L(x) = |B(x, r) ∩ C| at every center x.
+Two engines compute it:
+
+- the coset engine (coset_counts) for GF(2)-linear codes, Hamming or rank:
+  L is constant on the cosets of C, so reducing the |B| ball words modulo C
+  gives every list size without a 2^n object.  list_profile and certify of a
+  LinearCode, the guided constructor, verify_trace, the linear family of the
+  separation experiment, and the rank profile and certificate use it;
+- the 2^n scatter table (scatter_table), which scatters each codeword's ball
+  into one counter per center.  It serves code tables (certify, list_profile,
+  the Moser-Tardos rounds, the uniform family of the separation experiment),
+  every caller that needs L per center (list_size_table, check_sum_rule, the
+  potential step checks and pair_sum_weights), and the tests as the oracle.
+
+Histograms, tail statistics, potentials and the analytic inequality checks
+derive from the profile.  A per-center pairwise-distance recount serves as the
 independent oracle at small n.
 """
 
@@ -60,7 +72,7 @@ class LinearCode:
                 raise InvalidParameterError("generator length mismatch")
 
     @cached_property
-    def _basis(self) -> SpanBasis:
+    def basis(self) -> SpanBasis:
         return SpanBasis(g.bits for g in self.generators)
 
     @property
@@ -69,18 +81,18 @@ class LinearCode:
 
     @property
     def effective_dim(self) -> int:
-        return self._basis.dim
+        return self.basis.dim
 
     @property
     def size(self) -> int:
         return 1 << self.effective_dim
 
     def contains(self, v: BitVector) -> bool:
-        return self._basis.contains(v.bits)
+        return self.basis.contains(v.bits)
 
     def codeword_array(self) -> np.ndarray:
         """All 2^effective_dim codewords, each exactly once."""
-        return self._basis.enumerate()
+        return self.basis.enumerate()
 
     def extended(self, b: BitVector) -> "LinearCode":
         return LinearCode(self.n, self.generators + (b,))
@@ -145,14 +157,22 @@ def scatter_table(
     """
     check_scatter_caps(universe_bits, len(words) * len(ball))
     size = 1 << universe_bits
-    table = np.zeros(size, dtype=np.int64)
     if len(words) == 0 or len(ball) == 0:
-        return table
+        return np.zeros(size, dtype=np.int64)
     chunk = max(1, chunk_pairs // max(1, len(ball)))
+    # The first chunk's bincount becomes the table, so no zeroed table is held
+    # beside it: at n = 18 a one-chunk call peaks at 2.6 MiB, not 4.6 MiB.
+    # Above glibc's 4 MiB trim threshold, whether the freed pages went back
+    # to the system after each call (and were faulted in again) depended on
+    # the heap layout, which made op times bimodal.
+    table = None
     for start in range(0, len(words), chunk):
         part = words[start : start + chunk]
-        pairs = (part[:, None] ^ ball[None, :]).ravel()
-        table += np.bincount(pairs, minlength=size)
+        counts = np.bincount((part[:, None] ^ ball[None, :]).ravel(), minlength=size)
+        if table is None:
+            table = counts
+        else:
+            table += counts
     return table
 
 
@@ -184,6 +204,65 @@ def profile_from_table(table: np.ndarray, block_length: int, radius: int) -> Lis
     )
 
 
+def coset_reduce(basis: SpanBasis, words: np.ndarray) -> np.ndarray:
+    """Each word replaced by the least element of its coset of span(basis).
+
+    Every pivot bit is cleared, from the top pivot down.  The result is 0 at
+    every pivot, and since the leading bit of a nonzero codeword is a pivot,
+    that makes it the least element of its coset (and the only one that is 0
+    at every pivot)."""
+    out = np.asarray(words, dtype=np.int64)
+    for h in sorted(basis.pivots, reverse=True):
+        out = np.where((out >> h) & 1, out ^ np.int64(basis.pivots[h]), out)
+    return out
+
+
+def coset_counts(basis: SpanBasis, ball: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coset engine of a GF(2)-linear code: (reps, mult), sorted by rep.
+
+    L(x) = |(x + C) ∩ B| is constant on the cosets of C, so the ball words
+    reduced modulo C give every list size: the coset of reps[i] has
+    L = mult[i], and every coset missing from reps has L = 0.  Cost
+    O(|B| (dim + log |B|)); nothing of size 2^n is built."""
+    return np.unique(coset_reduce(basis, ball), return_counts=True)
+
+
+def coset_profile(
+    mult: np.ndarray, dim: int, universe_bits: int, block_length: int, radius: int
+) -> ListProfile:
+    """The profile from coset multiplicities: each coset has 2^dim centers."""
+    hist = np.bincount(mult)
+    counts = [(0, (1 << universe_bits) - (len(mult) << dim))]
+    counts += [(ell, int(c) << dim) for ell, c in enumerate(hist) if ell > 0]
+    return ListProfile(
+        universe_bits=universe_bits,
+        block_length=block_length,
+        radius=radius,
+        counts=tuple((ell, c) for ell, c in counts if c > 0),
+    )
+
+
+def certify_cosets(
+    reps: np.ndarray, mult: np.ndarray, max_list: int
+) -> tuple[bool, int | None, int]:
+    """certify_table's contract on coset counts: reps are the least elements
+    of their cosets, so the least witness is the least rep over max_list."""
+    max_seen = int(mult.max())
+    if max_seen <= max_list:
+        return True, None, max_seen
+    return False, int(reps[np.argmax(mult > max_list)]), max_seen
+
+
+def hamming_ball(n: int, radius: int) -> np.ndarray:
+    """ball_masks(n, radius), after the radius check and the cap of
+    2^PROFILE_MAX_BITS centers, which also bounds the ball."""
+    if not 0 <= radius <= n:
+        raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
+    if n > PROFILE_MAX_BITS:
+        raise ResourceLimitError(f"list sizes capped at 2^{PROFILE_MAX_BITS} centers, asked for 2^{n}")
+    return ball_masks(n, radius)
+
+
 def list_size_table(code, radius: int) -> np.ndarray:
     """L[x] for every center x of F_2^n, via codeword-ball scatter."""
     if not 0 <= radius <= code.n:
@@ -192,6 +271,11 @@ def list_size_table(code, radius: int) -> np.ndarray:
 
 
 def list_profile(code, radius: int) -> ListProfile:
+    """Linear codes go through the coset engine, code tables through a
+    2^n scatter table."""
+    if isinstance(code, LinearCode):
+        _, mult = coset_counts(code.basis, hamming_ball(code.n, radius))
+        return coset_profile(mult, code.effective_dim, code.n, code.n, radius)
     return profile_from_table(list_size_table(code, radius), code.n, radius)
 
 
@@ -217,17 +301,25 @@ def certify_table(table: np.ndarray, max_list: int) -> tuple[bool, int | None, i
 
 
 def certify(code, radius: int, max_list: int) -> Certificate:
-    """Decide (radius, max_list)-list-decodability; witness is the least center."""
-    table = list_size_table(code, radius)
-    ok, witness_int, max_seen = certify_table(table, max_list)
+    """Decide (radius, max_list)-list-decodability; witness is the least center.
+
+    Linear codes go through the coset engine, code tables through a 2^n
+    scatter table; a witness is recounted from the codewords either way."""
+    if isinstance(code, LinearCode):
+        reps, mult = coset_counts(code.basis, hamming_ball(code.n, radius))
+        ok, witness_int, max_seen = certify_cosets(reps, mult, max_list)
+        listed = None if ok else int(mult[np.searchsorted(reps, witness_int)])
+    else:
+        table = list_size_table(code, radius)
+        ok, witness_int, max_seen = certify_table(table, max_list)
+        listed = None if ok else int(table[witness_int])
     witness = None
     if not ok:
-        recount = recount_center(code.codeword_array(), witness_int, radius)
-        if recount != int(table[witness_int]):
-            raise AssertionError("witness recount disagrees with scatter table")
+        if recount_center(code.codeword_array(), witness_int, radius) != listed:
+            raise AssertionError("witness recount disagrees with the list-size count")
         witness = BitVector(code.n, witness_int)
     return Certificate(
-        decodable=ok, witness=witness, checked_count=len(table), max_list=max_seen
+        decodable=ok, witness=witness, checked_count=1 << code.n, max_list=max_seen
     )
 
 
@@ -411,7 +503,7 @@ def step_check_from_table(
     weights = pair_sum_weights(table)
 
     def builder_threshold(ctx):
-        t = _iv_excess(ctx, profile, epsilon)
+        t = iv_excess(ctx, profile, epsilon)
         return (1 + 2 * t + t ** ctx.mpf(1.5)) * ctx.mpf(2) ** universe_bits
 
     # Float prefilter; only candidates within the margin get an interval recheck.
@@ -445,7 +537,7 @@ def step_check_from_table(
     else:
         holds = precise.certified_less(
             lambda ctx: precise.iv_fraction(ctx, probability),
-            lambda ctx: ctx.sqrt(_iv_excess(ctx, profile, epsilon)),
+            lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
         )
     return StepReport(
         hypothesis_met=True,
@@ -457,7 +549,7 @@ def step_check_from_table(
     )
 
 
-def _iv_excess(ctx, profile: ListProfile, epsilon: float):
+def iv_excess(ctx, profile: ListProfile, epsilon: float):
     e = potential_exponent(ctx, epsilon, profile.block_length)
     total = ctx.mpf(0)
     for ell, c in profile.counts:
@@ -481,7 +573,7 @@ def excess_within_envelope(profile: ListProfile, epsilon: float, step: int) -> b
     """Certified T <= delta_step: the exact excess of the profile against the
     envelope recurrence that envelope_trace iterates."""
     return precise.certified_le(
-        lambda ctx: _iv_excess(ctx, profile, epsilon),
+        lambda ctx: iv_excess(ctx, profile, epsilon),
         lambda ctx: _iv_envelope(ctx, profile.block_length, profile.radius, epsilon, step)[step],
     )
 

@@ -62,6 +62,23 @@ def certified_le(lhs: Callable, rhs: Callable, start_prec: int = DEFAULT_PREC) -
     raise PrecisionError("comparison not resolved at maximum precision")
 
 
+def vanishes_at_power_of_two(coeffs: dict[int, int], exponent: Fraction) -> bool:
+    """Exactly whether sum_j coeffs[j] * 2^(exponent * j) is 0, for exponent > 0.
+
+    With exponent = p/q in lowest terms, z = 2^(p/q) has the minimal
+    polynomial x^q - 2^p (irreducible by Capelli's theorem, since 2^p is no
+    l-th power for a prime l dividing q).  So the sum is 0 exactly when the
+    polynomial reduced modulo x^q - 2^p, by x^(aq + b) -> 2^(pa) x^b, is 0."""
+    p, q = exponent.numerator, exponent.denominator
+    if p <= 0:
+        raise ValueError(f"exponent must be positive, got {exponent}")
+    folded: dict[int, int] = {}
+    for j, c in coeffs.items():
+        a, b = divmod(j, q)
+        folded[b] = folded.get(b, 0) + (c << (p * a))
+    return not any(folded.values())
+
+
 def eval_midpoint(builder: Callable, prec: int = DEFAULT_PREC) -> float:
     """Float midpoint of an interval expression, for display only."""
     with _LOCK:

@@ -1,9 +1,12 @@
 """Rank-metric analogs: rank distance, rank-ball enumeration, random linear
 rank codes, profiles, certification and the potential over m x n matrices.
 
-Matrices flatten to mn-bit words internally so the Hamming scatter and
-profile engine is reused verbatim; only the ball enumerator differs.  The
-potential exponent scales with n, not mn.
+Matrices flatten to mn-bit words internally so the Hamming engines are reused
+verbatim; only the ball enumerator differs.  rank_list_profile and
+certify_rank run the coset engine over the rank ball and build nothing of
+size 2^(mn) beyond the cached rank table that the ball is read from; the
+potential step check (rank_list_size_table) still scatters a 2^(mn) table.
+The potential exponent scales with n, not mn.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .listsize import (
     ListProfile,
     PotentialState,
     StepReport,
-    certify_table,
+    certify_cosets,
+    coset_counts,
+    coset_profile,
     potential,
     potential_exponent,
     profile_from_table,
@@ -79,7 +84,7 @@ class RankCode:
                 raise InvalidParameterError("generator shape mismatch")
 
     @cached_property
-    def _basis(self) -> SpanBasis:
+    def basis(self) -> SpanBasis:
         return SpanBasis(g.to_flat() for g in self.generators)
 
     @property
@@ -89,17 +94,17 @@ class RankCode:
 
     @property
     def effective_dim(self) -> int:
-        return self._basis.dim
+        return self.basis.dim
 
     @property
     def rate(self) -> float:
         return self.effective_dim / self.params.universe_bits
 
     def contains(self, x: BitMatrix) -> bool:
-        return self._basis.contains(x.to_flat())
+        return self.basis.contains(x.to_flat())
 
     def codeword_array(self) -> np.ndarray:
-        return self._basis.enumerate()
+        return self.basis.enumerate()
 
 
 def rank_distance(x: BitMatrix, y: BitMatrix) -> int:
@@ -149,11 +154,17 @@ def rank_table(m: int, n: int) -> np.ndarray:
     return ranks[state]
 
 
+@lru_cache(maxsize=16)
 def rank_ball_masks(m: int, n: int, radius: int) -> np.ndarray:
-    """Flattened words of all matrices with rank <= radius, ascending."""
+    """Flattened words of all matrices with rank <= radius, ascending.
+
+    Cached per (m, n, radius) and read-only, so repeated calls share one
+    array and do not rescan the rank table."""
     if not 0 <= radius <= n:
         raise InvalidParameterError(f"rank radius must be in [0, {n}], got {radius}")
-    return np.nonzero(rank_table(m, n) <= radius)[0].astype(np.int64)
+    ball = np.flatnonzero(rank_table(m, n) <= radius).astype(np.int64)
+    ball.flags.writeable = False
+    return ball
 
 
 def enumerate_rank_ball(m: int, n: int, radius: int) -> list[BitMatrix]:
@@ -173,11 +184,10 @@ def random_linear_rank_code(params: RankParams, k: int, rng: Rng) -> RankCode:
 
 
 def rank_list_profile(code: RankCode, radius: int) -> ListProfile:
-    """Scatter each codeword's rank ball over the flattened universe."""
+    """The coset engine over the rank ball; no 2^(mn) table is built."""
     params = code.params
-    ball = rank_ball_masks(params.m, params.n, radius)
-    table = scatter_table(code.codeword_array(), ball, params.universe_bits)
-    return profile_from_table(table, params.n, radius)
+    _, mult = coset_counts(code.basis, rank_ball_masks(params.m, params.n, radius))
+    return coset_profile(mult, code.effective_dim, params.universe_bits, params.n, radius)
 
 
 def rank_list_size_table(code: RankCode, radius: int) -> np.ndarray:
@@ -201,9 +211,11 @@ def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
 
 
 def certify_rank(code: RankCode, radius: int, max_list: int) -> Certificate:
+    """The coset engine over the rank ball; a witness is recounted by rank
+    distance to every codeword."""
     params = code.params
-    table = rank_list_size_table(code, radius)
-    ok, witness_int, max_seen = certify_table(table, max_list)
+    reps, mult = coset_counts(code.basis, rank_ball_masks(params.m, params.n, radius))
+    ok, witness_int, max_seen = certify_cosets(reps, mult, max_list)
     witness = None
     if not ok:
         witness = BitMatrix.from_flat(params.m, params.n, witness_int)
@@ -212,9 +224,11 @@ def certify_rank(code: RankCode, radius: int, max_list: int) -> Certificate:
             for w in code.codeword_array()
             if rank_distance(witness, BitMatrix.from_flat(params.m, params.n, int(w))) <= radius
         )
-        if recount != int(table[witness_int]):
-            raise AssertionError("rank witness recount disagrees with scatter table")
-    return Certificate(decodable=ok, witness=witness, checked_count=len(table), max_list=max_seen)
+        if recount != int(mult[np.searchsorted(reps, witness_int)]):
+            raise AssertionError("rank witness recount disagrees with the coset count")
+    return Certificate(
+        decodable=ok, witness=witness, checked_count=1 << params.universe_bits, max_list=max_seen
+    )
 
 
 def rank_potential(profile: ListProfile, epsilon: float) -> PotentialState:

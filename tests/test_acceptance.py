@@ -6,6 +6,7 @@ criterion-specific stream range, so outcomes are reproducible bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shlex
@@ -467,3 +468,37 @@ def test_c14_cli_determinism(tmp_path, monkeypatch):
         not failures,
         f"failures={failures[:3]}",
     )
+
+
+# sha256 of every README example's output file, written with the output names
+# the README gives, in a fresh directory.  They were recorded before linear
+# codes moved from 2^n tables to the coset engine, so any change to an
+# output's bytes shows here.  The draws come from numpy's PCG64 Generator; the
+# digests assume the numpy version they were recorded with (2.4.6).
+README_DIGESTS = {
+    "volumes.json": "5c3b760af8bfd33ddbf23f4b29280ac00684d6684c64bf75c9b0580537f59cfa",
+    "profile.json": "b60203cc8fab5d93c2244cd91e749e6a82bd5267b9f0f102786c6c39dc082f97",
+    "certify.json": "d4f1b7379941cb397c93f1ce6fce0d15a7bea94254d4213c7612ab05c8d85fb1",
+    "guided.json": "02efc4788d921987087ac801909743aabae9b00d5fe97fcd793d06d30eee2fa7",
+    "lll.json": "ceb2278005d7427bd09b4e0f0939c90746bcb71d9ee8a4160e57fc5f367ae5cb",
+    "rank.json": "d6c060cb00e049801e776d00febf911e2d88443fdaca6035fd194018f11c38b8",
+    "lbparams.json": "77b7060f6a92d81a7e094f0ce82b91092383e227c153520d1150de7319a82acb",
+    "separation.csv": "288be769f35e2e2349c1fb23f406018c5c9a5e4b596d2aeca118b295ab52ea89",
+    "trace.json": "140703f66dcd5d53eb622116321bce3b1c0b84baf238f77cc0f9da4c26f378aa",
+    "sweep.csv": "11b9326f88a42fcf89eea23a3b6c8e723ea25d49b5c36afe949fbf437ca5bee0",
+}
+
+
+def test_readme_examples_golden(tmp_path, monkeypatch):
+    """Every README CLI example, with the README's sweep grid, writes the
+    recorded bytes."""
+    commands, grid = _readme_examples()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(grid)
+    digests = {}
+    for command in commands:
+        args = shlex.split(command)[1:]
+        assert cli_main(args) in (0, 1), command
+        out = args[args.index("--out") + 1]
+        digests[out] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+    assert digests == README_DIGESTS

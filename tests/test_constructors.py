@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,10 @@ from listdec import (
     uniform_random_code,
     verify_trace,
 )
-from listdec import constructors
-from listdec.constructors import ResampleEvent
-from listdec.gf2 import ball_masks, popcount_array
-from listdec.listsize import certify_table, scatter_table
+from listdec import LinearCode, PotentialTrace, constructors
+from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
+from listdec.gf2 import SpanBasis, ball_masks, popcount_array
+from listdec.listsize import certify_table, potential, profile_from_table, scatter_table
 
 
 class TestRandomLinear:
@@ -129,6 +130,140 @@ class TestGuidedBuilder:
         partial_code, partial_trace = info.value.partial
         assert len(partial_trace.records) == 1
         assert partial_code.effective_dim == 0
+
+
+def dense_guided_code(
+    n, k, radius, epsilon, rng, max_retries_per_step=DEFAULT_MAX_RETRIES, rule="step"
+):
+    """Oracle twin of potential_guided_code: the 2^n-table loop.  Each
+    candidate b gets the full list-size table table + table[x ^ b], its
+    histogram and its potential.  The accept is decided at 600 bits from that
+    histogram; two sides within 2^-500 of each other are taken as the exact
+    tie they are at these sizes, which accepts."""
+
+    def decide(profile, cand_profile):
+        with mpmath.workprec(600):
+            e = mpmath.mpf(epsilon) * n / (1 + mpmath.mpf(epsilon))
+
+            def value(p):
+                return sum(c * mpmath.mpf(2) ** (e * ell) for ell, c in p.counts) / mpmath.mpf(2) ** n
+
+            s, s_new = value(profile), value(cand_profile)
+            t = s - 1
+            bound = 1 + 2 * t + t ** mpmath.mpf(1.5) if rule == "step" else s * s
+            return abs(s_new - bound) <= mpmath.mpf(2) ** -500 * bound or s_new <= bound
+
+    basis = SpanBasis()
+    gens = []
+    table = scatter_table(np.zeros(1, dtype=np.int64), ball_masks(n, radius), n)
+    profile = profile_from_table(table, n, radius)
+    state = potential(profile, epsilon)
+    records = [StepRecord(step=0, value=state.value_float, excess=state.excess_float, retries=0)]
+    idx = np.arange(1 << n, dtype=np.int64)
+
+    def fail(msg):
+        trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
+        raise ConstructionError(msg, partial=(LinearCode(n, tuple(gens)), trace))
+
+    for step in range(1, k + 1):
+        retries = 0
+        draws = 0
+        while True:
+            draws += 1
+            if draws > 64 * (max_retries_per_step + 1):
+                fail(f"step {step}: candidate supply exhausted")
+            b = rng.bits(n)
+            if basis.contains(b):
+                if basis.dim == n:
+                    fail(f"step {step}: span is already the full space")
+                continue
+            candidate = table + table[idx ^ np.int64(b)]
+            cand_profile = profile_from_table(candidate, n, radius)
+            if decide(profile, cand_profile):
+                basis.insert(b)
+                gens.append(BitVector(n, b))
+                table, profile = candidate, cand_profile
+                state = potential(profile, epsilon)
+                records.append(
+                    StepRecord(step=step, value=state.value_float, excess=state.excess_float, retries=retries)
+                )
+                break
+            retries += 1
+            if retries > max_retries_per_step:
+                fail(f"step {step}: retry budget exhausted")
+    trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
+    return LinearCode(n, tuple(gens)), trace
+
+
+def guided_outcome(construct, *args, **kwargs):
+    try:
+        code, trace = construct(*args, **kwargs)
+    except ConstructionError as exc:
+        code, trace = exc.partial
+        return ("error", str(exc), code, trace)
+    return ("ok", code, trace)
+
+
+@st.composite
+def guided_points(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    radius = draw(st.integers(0, n))
+    epsilon = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]) | st.floats(0.05, 2.0))
+    rule = draw(st.sampled_from(["step", "square"]))
+    retries = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, k, radius, epsilon, rule, retries, seed
+
+
+class TestGuidedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(guided_points())
+    def test_matches_dense_oracle(self, point):
+        n, k, radius, epsilon, rule, retries, seed = point
+        args = (n, k, radius, epsilon)
+        kwargs = {"max_retries_per_step": retries, "rule": rule}
+        fast = guided_outcome(potential_guided_code, *args, Rng(seed, 2), **kwargs)
+        slow = guided_outcome(dense_guided_code, *args, Rng(seed, 2), **kwargs)
+        assert fast == slow
+
+    # (20, 6, 2, 0.2) is the C09 point; (12, 5, 2, 0.6) rejects often; the
+    # square rule at (3, 1, 1) and (4, 1, 4) meets exact ties S_new = S^2.
+    SWEEP = (
+        ((20, 6, 2, 0.2), "step", range(8)),
+        ((12, 5, 2, 0.6), "step", range(30)),
+        ((14, 5, 2, 0.3), "square", range(30)),
+        ((3, 1, 1, 0.5), "square", range(5)),
+        ((4, 1, 4, 0.5), "square", range(5)),
+        ((2, 1, 2, 1.0), "step", range(5)),
+    )
+
+    def sweep_against_oracle(self):
+        outcomes = []
+        for args, rule, seeds in self.SWEEP:
+            for seed in seeds:
+                fast = guided_outcome(potential_guided_code, *args, Rng(88, seed), rule=rule)
+                slow = guided_outcome(dense_guided_code, *args, Rng(88, seed), rule=rule)
+                assert fast == slow, (args, rule, seed)
+                outcomes.append(fast)
+        assert sum(o[0] == "ok" and o[2].total_retries > 0 for o in outcomes) >= 5
+        assert any(o[0] == "error" for o in outcomes)
+
+    def test_guided_sweep_matches_600_bit_decisions(self):
+        self.sweep_against_oracle()
+
+    def test_every_accept_rechecked_matches_600_bit_decisions(self, monkeypatch):
+        # With no margin left to the prefilter, every accept is decided by the
+        # exact tie test or by certified intervals.
+        monkeypatch.setattr(constructors, "RECHECK_MARGIN", float("inf"))
+        self.sweep_against_oracle()
+
+    def test_exact_tie_accepts(self):
+        # At radius n with |C| = 1, S = 2^e; e = 1 at (n, eps) = (2, 1.0), so
+        # T = 1 and S_new = 4 = 1 + 2T + T^1.5 exactly.
+        code, trace = potential_guided_code(2, 1, 2, 1.0, Rng(3, 0), max_retries_per_step=0)
+        assert code.effective_dim == 1
+        assert trace.records[1].value == 4.0
 
 
 class TestLLLCondition:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdec import (
     BitVector,
@@ -29,6 +31,15 @@ from listdec import (
     uniform_random_code,
 )
 from listdec.counting import binary_entropy
+from listdec.gf2 import ball_masks
+from listdec.listsize import (
+    certify_table,
+    coset_counts,
+    coset_reduce,
+    naive_table,
+    profile_from_table,
+    scatter_table,
+)
 
 
 def bv(s: str) -> BitVector:
@@ -119,6 +130,89 @@ class TestNaiveOracle:
         prof = list_profile(table, 0)
         assert dict(prof.counts) == {0: 7, 2: 1}
         assert list_profile_naive(table, 0) == prof
+
+
+def code_from_ints(n: int, gens) -> LinearCode:
+    return LinearCode(n, tuple(BitVector(n, g) for g in gens))
+
+
+def table_certificate(code, table: np.ndarray, max_list: int):
+    ok, witness, max_seen = certify_table(table, max_list)
+    return ok, max_seen, None if ok else BitVector(code.n, witness), 1 << code.n
+
+
+def certificate_fields(cert):
+    return cert.decodable, cert.max_list, cert.witness, cert.checked_count
+
+
+@st.composite
+def linear_codes(draw, max_n: int):
+    """Codes with zero and dependent generators among random ones; at most
+    2^22 center-codeword pairs, so the naive recount stays small."""
+    n = draw(st.integers(1, max_n))
+    word = st.integers(0, (1 << n) - 1)
+    gens = draw(st.lists(word | st.just(0), max_size=min(n + 1, 22 - n)))
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens.append(gens[0] ^ gens[-1])
+    return code_from_ints(n, gens)
+
+
+class TestCosetEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(linear_codes(16), st.data())
+    def test_matches_naive_oracle(self, code, data):
+        radius = data.draw(st.integers(0, code.n))
+        max_list = data.draw(st.integers(1, 6))
+        naive = naive_table(code.codeword_array(), code.n, radius)
+        assert list_profile(code, radius) == list_profile_naive(code, radius)
+        assert certificate_fields(certify(code, radius, max_list)) == table_certificate(
+            code, naive, max_list
+        )
+
+    # Up to n = 22 against the scatter table: a zero code, the full space,
+    # zero and repeated generators, and a dependent set.
+    SWEEP = (
+        (22, (), 2),
+        (12, tuple(1 << i for i in range(12)), 3),
+        (18, (0, 0x2A5F1, 0x2A5F1, 0x13C7), 2),
+        (20, (0x8F3A1, 0x1C2B7, 0x8F3A1 ^ 0x1C2B7, 0x4D00E, 0), 2),
+    )
+
+    @pytest.mark.parametrize("n,gens,radius", SWEEP)
+    def test_fixed_codes_match_scatter(self, n, gens, radius):
+        self.check_against_scatter(code_from_ints(n, gens), radius)
+
+    @pytest.mark.parametrize("n,k,radius", [(20, 6, 2), (22, 8, 2), (22, 12, 1), (18, 4, 3)])
+    def test_random_codes_match_scatter(self, n, k, radius):
+        for seed in range(3):
+            self.check_against_scatter(random_linear_code(n, k, Rng(26, seed)), radius)
+
+    @staticmethod
+    def check_against_scatter(code, radius):
+        table = scatter_table(code.codeword_array(), ball_masks(code.n, radius), code.n)
+        assert list_profile(code, radius) == profile_from_table(table, code.n, radius)
+        top = int(table.max())
+        for max_list in (top - 1, top):
+            if max_list >= 1:
+                assert certificate_fields(certify(code, radius, max_list)) == table_certificate(
+                    code, table, max_list
+                )
+
+    def test_reps_are_least_coset_elements(self):
+        code = random_linear_code(10, 4, Rng(27, 0))
+        words = np.arange(1 << 10, dtype=np.int64)
+        reps = coset_reduce(code.basis, words)
+        for c in code.codeword_array():
+            assert (reps <= words ^ c).all()
+        assert len(np.unique(reps)) == 1 << (10 - code.effective_dim)
+
+    def test_counts_are_list_sizes(self):
+        code = random_linear_code(12, 5, Rng(27, 1))
+        reps, mult = coset_counts(code.basis, ball_masks(12, 2))
+        table = list_size_table(code, 2)
+        assert (np.diff(reps) > 0).all()
+        assert (table[reps] == mult).all()
+        assert int(mult.sum()) == hamming_volume(12, 2)
 
 
 class TestCosetConstancy:

@@ -18,7 +18,7 @@ from listdec import (
 )
 from listdec.gf2 import BitVector, ball_masks
 from listdec.listsize import scatter_table
-from listdec.precise import certified_le, certified_less, iv_fraction
+from listdec.precise import certified_le, certified_less, iv_fraction, vanishes_at_power_of_two
 
 
 class TestCertifiedComparisons:
@@ -56,6 +56,29 @@ class TestCertifiedComparisons:
         assert certified_less(
             lambda ctx: ctx.pi ** ctx.e, lambda ctx: ctx.exp(ctx.pi)
         )
+
+
+class TestVanishesAtPowerOfTwo:
+    @pytest.mark.parametrize(
+        "coeffs,exponent,expected",
+        [
+            ({0: -4, 2: 1}, Fraction(1), True),  # z = 2: z^2 - 4
+            ({0: -2, 2: 1}, Fraction(1, 2), True),  # z = sqrt 2: z^2 - 2
+            ({0: -2, 1: 1}, Fraction(1, 2), False),  # sqrt 2 - 2
+            ({0: -4, 3: 1}, Fraction(2, 3), True),  # z^3 = 4
+            ({0: -16, 6: 1}, Fraction(2, 3), True),  # z^6 = 16
+            ({0: -2, 3: 1}, Fraction(2, 3), False),
+            ({1: 3, 2: -3}, Fraction(2, 3), False),
+            ({0: 0}, Fraction(0.2) * 20 / (1 + Fraction(0.2)), True),
+            ({0: 1, 1: -1}, Fraction(0.2) * 20 / (1 + Fraction(0.2)), False),
+        ],
+    )
+    def test_exact_roots(self, coeffs, exponent, expected):
+        assert vanishes_at_power_of_two(coeffs, exponent) is expected
+
+    def test_exponent_must_be_positive(self):
+        with pytest.raises(ValueError):
+            vanishes_at_power_of_two({0: 1}, Fraction(0))
 
 
 class TestScatterChunking:

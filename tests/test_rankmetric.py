@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdec import (
     BitMatrix,
@@ -27,7 +29,9 @@ from listdec import (
     rank_potential,
     tail_stats,
 )
-from listdec.rankmetric import rank_list_size_table, rank_table
+from listdec import rankmetric
+from listdec.listsize import certify_table, profile_from_table
+from listdec.rankmetric import rank_ball_masks, rank_list_size_table, rank_table
 
 
 def zero_code(m: int, n: int, radius: int) -> RankCode:
@@ -175,6 +179,76 @@ class TestCertifyRank:
         naive = rank_list_profile_naive(code, 1)
         assert cert.decodable == (naive.max_ell <= 2)
         assert cert.max_list == naive.max_ell
+
+
+def rank_code_from_ints(m: int, n: int, gens) -> RankCode:
+    return RankCode(RankParams(m, n, 1), tuple(BitMatrix.from_flat(m, n, g) for g in gens))
+
+
+def rank_certificate_fields(cert):
+    witness = None if cert.witness is None else cert.witness.to_flat()
+    return cert.decodable, cert.max_list, witness, cert.checked_count
+
+
+def rank_table_certificate(table: np.ndarray, max_list: int):
+    ok, witness, max_seen = certify_table(table, max_list)
+    return ok, max_seen, witness, len(table)
+
+
+@st.composite
+def rank_codes(draw):
+    m, n = draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (6, 2)]))
+    word = st.integers(0, (1 << (m * n)) - 1)
+    gens = draw(st.lists(word | st.just(0), max_size=6))
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens.append(gens[0] ^ gens[-1])
+    return rank_code_from_ints(m, n, gens)
+
+
+class TestRankCosetEngine:
+    @settings(max_examples=100, deadline=None)
+    @given(rank_codes(), st.data())
+    def test_matches_naive_oracle(self, code, data):
+        m, n = code.params.m, code.params.n
+        radius = data.draw(st.integers(0, n))
+        max_list = data.draw(st.integers(1, 6))
+        ranks = rank_table(m, n)
+        centers = np.arange(1 << (m * n), dtype=np.int64)
+        naive = np.zeros(len(centers), dtype=np.int64)
+        for c in code.codeword_array():
+            naive += ranks[centers ^ c] <= radius
+        assert rank_list_profile(code, radius) == rank_list_profile_naive(code, radius)
+        assert rank_certificate_fields(certify_rank(code, radius, max_list)) == (
+            rank_table_certificate(naive, max_list)
+        )
+
+    @pytest.mark.parametrize("m,n,k", [(5, 4, 6), (6, 3, 8), (4, 4, 0)])
+    def test_matches_scatter(self, m, n, k):
+        for seed in range(2):
+            code = random_linear_rank_code(RankParams(m, n, 1), k, Rng(67, seed))
+            for radius in range(min(n, 2) + 1):
+                table = rank_list_size_table(code, radius)
+                assert rank_list_profile(code, radius) == profile_from_table(table, n, radius)
+                top = int(table.max())
+                for max_list in {max(1, top - 1), top}:
+                    assert rank_certificate_fields(certify_rank(code, radius, max_list)) == (
+                        rank_table_certificate(table, max_list)
+                    )
+
+
+class TestRankBallCache:
+    def test_read_only_and_not_rescanned(self, monkeypatch):
+        first = rank_ball_masks(4, 3, 1)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1
+
+        def untouchable(m, n):
+            raise AssertionError("rank_table rescanned")
+
+        monkeypatch.setattr(rankmetric, "rank_table", untouchable)
+        assert rank_ball_masks(4, 3, 1) is first
+        assert len(first) == rank_ball_size(2, 4, 3, 1)
 
 
 class TestRankBounds:

@@ -259,6 +259,20 @@ class TestSeparationExperiment:
         with pytest.raises(InvalidParameterError):
             separation_experiment(8, 3, 0.4, 2, Rng(94, 0))
 
+    @pytest.mark.parametrize("n,radius,epsilon,trials", [(14, 1, 0.25, 10), (22, 2, 0.18, 3)])
+    def test_linear_rows_match_scatter(self, n, radius, epsilon, trials):
+        # Linear rows come from the coset engine; the oracle is the least
+        # center of maximum list size in the 2^n scatter table.
+        result = separation_experiment(n, radius, epsilon, trials, Rng(95, 0))
+        k = result.summary["k"]
+        for row in result.rows:
+            if row.family != "linear":
+                continue
+            code = random_linear_code(n, k, Rng(95, 0).substream(row.trial, 0))
+            table = list_size_table(code, radius)
+            top = int(table.max())
+            assert (row.max_list, row.witness) == (top, format(int(np.argmax(table == top)), f"0{n}b"))
+
 
 class TestRankRateBound:
     def test_reference_point(self):
