@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -198,8 +199,11 @@ def rank_of_span(vectors: Sequence[BitVector]) -> int:
     return rank_of_ints([v.bits for v in vectors])
 
 
+@lru_cache(maxsize=16)
 def ball_masks(n: int, radius: int) -> np.ndarray:
-    """Packed words of B(0, radius) in weight-major, numeric-minor order."""
+    """Packed words of B(0, radius) in weight-major, numeric-minor order.
+
+    Cached per (n, radius) and read-only, so repeated calls share one array."""
     if not 0 <= radius <= n:
         raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
     chunks = [np.zeros(1, dtype=np.int64)]
@@ -209,7 +213,9 @@ def ball_masks(n: int, radius: int) -> np.ndarray:
             for positions in itertools.combinations(range(n), w)
         )
         chunks.append(np.array(vals, dtype=np.int64))
-    return np.concatenate(chunks)
+    ball = np.concatenate(chunks)
+    ball.flags.writeable = False
+    return ball
 
 
 def enumerate_ball(center: BitVector, radius: int) -> list[BitVector]:

@@ -7,12 +7,15 @@ Two engines compute it:
   L is constant on the cosets of C, so reducing the |B| ball words modulo C
   gives every list size without a 2^n object.  list_profile and certify of a
   LinearCode, the guided constructor, verify_trace, the linear family of the
-  separation experiment, and the rank profile and certificate use it;
+  separation experiment, and the rank profile and certificate use it.  The
+  potential step checks, Hamming and rank, use it too: the weight row of a
+  candidate b depends only on the coset of b, and coset_pair_weights builds
+  all 2^(n-k) rows exactly from pairs of cosets, at the cost of the ball;
 - the 2^n scatter table (scatter_table), which scatters each codeword's ball
   into one counter per center.  It serves code tables (certify, list_profile,
   the Moser-Tardos rounds, the uniform family of the separation experiment),
-  every caller that needs L per center (list_size_table, check_sum_rule, the
-  potential step checks and pair_sum_weights), and the tests as the oracle.
+  every caller that needs L per center (list_size_table, check_sum_rule), and
+  the tests as the oracle.
 
 Histograms, tail statistics, potentials and the analytic inequality checks
 derive from the profile.  A per-center pairwise-distance recount serves as the
@@ -36,6 +39,9 @@ NAIVE_MAX_BITS = 16
 SCATTER_MAX = 1 << 30
 PAIR_CHECK_MAX_BITS = 16
 POTENTIAL_PREC = 160
+# Relative margin of the step check's float prefilter; classes within it are
+# decided in certified intervals.
+STEP_RECHECK_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -410,40 +416,6 @@ def check_sum_rule(code: LinearCode, b: BitVector, radius: int) -> SumRuleReport
     )
 
 
-def fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform (float64, exact for our counts)."""
-    out = values.astype(np.float64).copy()
-    size = out.size
-    h = 1
-    while h < size:
-        out = out.reshape(size // (2 * h), 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out = np.stack([top, bottom], axis=1).reshape(size)
-        h *= 2
-    return out
-
-
-def pair_sum_weights(table: np.ndarray) -> np.ndarray:
-    """weights[b, s] = #{x : L(x) + L(x^b) = s}, exact via XOR correlations."""
-    size = len(table)
-    vmax = int(table.max())
-    transforms = []
-    for v in range(vmax + 1):
-        indicator = (table == v).astype(np.float64)
-        transforms.append(fwht(indicator))
-    weights = np.zeros((size, 2 * vmax + 1), dtype=np.int64)
-    for u in range(vmax + 1):
-        for v in range(u, vmax + 1):
-            corr = fwht(transforms[u] * transforms[v]) / size
-            counts = np.rint(corr).astype(np.int64)
-            if u == v:
-                weights[:, u + v] += counts
-            else:
-                weights[:, u + v] += 2 * counts
-    return weights
-
-
 @dataclass(frozen=True)
 class StepReport:
     """Exact exceedance probability of the potential one-step threshold."""
@@ -456,28 +428,85 @@ class StepReport:
     holds: bool
 
 
-def check_potential_step(code: LinearCode, epsilon: float, radius: int) -> StepReport:
-    """Over all 2^n candidates b, the exact probability that extending by b
-    pushes the potential beyond 1 + 2T + T^1.5, compared against sqrt(T)."""
-    if code.n > PAIR_CHECK_MAX_BITS:
-        raise ResourceLimitError(f"step check capped at n = {PAIR_CHECK_MAX_BITS}")
-    table = list_size_table(code, radius)
-    return step_check_from_table(table, code.n, code.codeword_array(), epsilon, radius)
+def check_quotient_cap(universe_bits: int, dim: int) -> None:
+    """Raise ResourceLimitError before a step check over more than
+    2^PAIR_CHECK_MAX_BITS coset classes builds anything."""
+    if universe_bits - dim > PAIR_CHECK_MAX_BITS:
+        raise ResourceLimitError(
+            f"step check capped at 2^{PAIR_CHECK_MAX_BITS} coset classes, "
+            f"asked for 2^{universe_bits - dim}"
+        )
 
 
-def step_check_from_table(
-    table: np.ndarray,
+def quotient_index(basis: SpanBasis, reduced: np.ndarray, universe_bits: int) -> np.ndarray:
+    """Each reduced word (0 at every pivot) packed down to its non-pivot bits:
+    the index of its coset in [0, 2^(universe_bits - dim)), in the same order
+    as the reduced words."""
+    out = np.zeros(len(reduced), dtype=np.int64)
+    free = [h for h in range(universe_bits) if h not in basis.pivots]
+    for j, h in enumerate(free):
+        out |= ((reduced >> h) & 1) << j
+    return out
+
+
+def coset_pair_weights(table: np.ndarray, chunk_pairs: int = 1 << 24) -> np.ndarray:
+    """rows[c, s] = #{cosets u : L(u) + L(u + c) = s} for every coset c.
+
+    table holds L of every coset, indexed by quotient_index.  L_{C+b}(x) =
+    L(x) + L(x + b), so 2^dim rows[c] is the weight row #{x : L(x) + L(x + b)
+    = s} of every b in the coset c.  With v the most common list size and D
+    the cosets whose list size is not v, every ordered pair (i, j) in D, i = j
+    included (that is c = 0), puts L_i + L_j in the class i ^ j; a coset of D
+    whose partner lies outside D puts L_i + v there, on either side; the rest
+    put 2v.  Only |D|^2 pairs are enumerated: D is the nonempty cosets when
+    most cosets are empty, and none at all when L is constant.  chunk_pairs
+    bounds the transient pair arrays."""
+    hist = np.bincount(table)
+    mode = int(np.argmax(hist))
+    dev = np.flatnonzero(table != mode)
+    vals = table[dev]
+    pairs = len(dev) ** 2
+    if pairs > SCATTER_MAX:
+        raise ResourceLimitError(f"step check would need {pairs} coset pairs (cap {SCATTER_MAX})")
+    width = 2 * len(hist) - 1
+    size = width * len(table)
+    if size > 1 << PROFILE_MAX_BITS:
+        raise ResourceLimitError(
+            f"step check needs {size} weight counters (cap 2^{PROFILE_MAX_BITS})"
+        )
+    both = np.zeros(size, dtype=np.int64)
+    one = np.zeros(size, dtype=np.int64)
+    chunk = max(1, chunk_pairs // max(1, len(dev)))
+    for start in range(0, len(dev), chunk):
+        keys = (dev[start : start + chunk, None] ^ dev[None, :]) * width
+        keys += vals[start : start + chunk, None] + mode
+        one += np.bincount(keys.ravel(), minlength=size)
+        keys += vals[None, :] - mode
+        both += np.bincount(keys.ravel(), minlength=size)
+    # one[c, L_i + v] counts the cosets i of D whose partner i ^ c is in D
+    # too; the others of D pair with a coset outside it.
+    one = one.reshape(-1, width)
+    rows = both.reshape(-1, width) - 2 * one
+    rows += 2 * np.bincount(vals + mode, minlength=width)
+    rows[:, 2 * mode] += len(table) - 2 * len(dev) + one.sum(axis=1)
+    return rows
+
+
+def step_check_cosets(
+    basis: SpanBasis,
+    ball: np.ndarray,
+    universe_bits: int,
     block_length: int,
-    span_words: np.ndarray,
     epsilon: float,
     radius: int,
 ) -> StepReport:
-    """Generic engine behind check_potential_step; the universe size is the
-    table length, the potential exponent scales with block_length."""
-    profile = profile_from_table(table, block_length, radius)
-    universe_bits = profile.universe_bits
-    if universe_bits > PAIR_CHECK_MAX_BITS:
-        raise ResourceLimitError(f"step check capped at 2^{PAIR_CHECK_MAX_BITS} candidates")
+    """The one-step rule for span(basis) over the 2^(universe_bits - dim)
+    coset classes of the candidate b, whose weight rows coset_pair_weights
+    gives exactly; the potential exponent scales with block_length."""
+    dim = basis.dim
+    quotient_bits = universe_bits - dim
+    reps, mult = coset_counts(basis, ball)
+    profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
     t_excess = state.excess
     if t_excess == 0:
@@ -499,24 +528,27 @@ def step_check_from_table(
             holds=False,
         )
 
-    size = len(table)
-    weights = pair_sum_weights(table)
+    table = np.zeros(1 << quotient_bits, dtype=np.int64)
+    table[quotient_index(basis, reps, universe_bits)] = mult
+    rows = coset_pair_weights(table)
 
     def builder_threshold(ctx):
         t = iv_excess(ctx, profile, epsilon)
-        return (1 + 2 * t + t ** ctx.mpf(1.5)) * ctx.mpf(2) ** universe_bits
+        return (1 + 2 * t + t ** ctx.mpf(1.5)) * ctx.mpf(2) ** quotient_bits
 
-    # Float prefilter; only candidates within the margin get an interval recheck.
+    # Float prefilter; only classes within the margin get an interval recheck.
     e_float = epsilon * block_length / (1 + epsilon)
-    smax = weights.shape[1] - 1
-    pows = np.exp2(e_float * np.arange(smax + 1))
-    lhs = weights @ pows
+    pows = np.exp2(e_float * np.arange(rows.shape[1]))
+    lhs = rows @ pows
     thr = precise.eval_midpoint(builder_threshold)
-    margin = 1e-9 * max(abs(thr), 1.0)
+    margin = STEP_RECHECK_MARGIN * max(abs(thr), 1.0)
     exceed = lhs > thr + margin
-    uncertain = np.abs(lhs - thr) <= margin
-    for b in np.nonzero(uncertain)[0]:
-        row = weights[int(b)]
+    uncertain = np.flatnonzero(np.abs(lhs - thr) <= margin)
+    # Classes with equal rows decide alike, so each distinct row is rechecked
+    # once: at tiny T every class that no pair reaches falls in the margin.
+    distinct, inverse = np.unique(rows[uncertain], axis=0, return_inverse=True)
+    rechecked = []
+    for row in distinct:
 
         def builder_lhs(ctx, row=row):
             e = potential_exponent(ctx, epsilon, block_length)
@@ -526,11 +558,11 @@ def step_check_from_table(
                     total += int(w) * ctx.mpf(2) ** (e * s)
             return total
 
-        exceed[int(b)] = not precise.certified_le(builder_lhs, builder_threshold)
-    # Candidates already in the span leave the code unchanged, so they never exceed.
-    exceed[span_words] = False
-    count = int(exceed.sum())
-    probability = Fraction(count, size)
+        rechecked.append(not precise.certified_le(builder_lhs, builder_threshold))
+    exceed[uncertain] = np.array(rechecked, dtype=bool)[inverse]
+    # Candidates in the code (class 0) leave it unchanged, so they never exceed.
+    exceed[0] = False
+    probability = Fraction(int(exceed.sum()) << dim, 1 << universe_bits)
     markov = math.sqrt(float(t_excess))
     if probability == 0:
         holds = True
@@ -546,6 +578,15 @@ def step_check_from_table(
         probability=probability,
         markov_bound=markov,
         holds=holds,
+    )
+
+
+def check_potential_step(code: LinearCode, epsilon: float, radius: int) -> StepReport:
+    """Over all 2^n candidates b, the exact probability that extending by b
+    pushes the potential beyond 1 + 2T + T^1.5, compared against sqrt(T)."""
+    check_quotient_cap(code.n, code.effective_dim)
+    return step_check_cosets(
+        code.basis, hamming_ball(code.n, radius), code.n, code.n, epsilon, radius
     )
 
 

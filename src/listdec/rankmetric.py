@@ -2,15 +2,18 @@
 rank codes, profiles, certification and the potential over m x n matrices.
 
 Matrices flatten to mn-bit words internally so the Hamming engines are reused
-verbatim; only the ball enumerator differs.  rank_list_profile and
-certify_rank run the coset engine over the rank ball and build nothing of
-size 2^(mn) beyond the cached rank table that the ball is read from; the
-potential step check (rank_list_size_table) still scatters a 2^(mn) table.
+verbatim; only the ball enumerator differs.  rank_ball_masks enumerates the
+ball directly, each rank-s matrix once as X R (R the reduced row echelon
+basis of its row space, X of full column rank), so rank_list_profile,
+certify_rank and check_rank_potential_step run the coset engines at the cost
+of the ball and build nothing of size 2^(mn).  The row-space automaton and
+its 2^(mn) rank_table serve only rank_list_profile_naive and the tests.
 The potential exponent scales with n, not mn.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -20,20 +23,22 @@ import numpy as np
 from . import precise
 from .counting import rank_ball_size
 from .errors import InvalidParameterError, ResourceLimitError
-from .gf2 import BitMatrix, Rng, SpanBasis, rank_of_ints
+from .gf2 import MAX_MATRIX_BITS, BitMatrix, Rng, SpanBasis, rank_of_ints
 from .listsize import (
+    PROFILE_MAX_BITS,
     Certificate,
     ListProfile,
     PotentialState,
     StepReport,
     certify_cosets,
+    check_quotient_cap,
     coset_counts,
     coset_profile,
     potential,
     potential_exponent,
     profile_from_table,
     scatter_table,
-    step_check_from_table,
+    step_check_cosets,
 )
 
 RANK_UNIVERSE_MAX_BITS = 24
@@ -154,15 +159,71 @@ def rank_table(m: int, n: int) -> np.ndarray:
     return ranks[state]
 
 
+def _rref_rows(n: int, s: int) -> np.ndarray:
+    """The s rows of every s x n matrix of rank s in reduced row echelon form,
+    one matrix per row space, as an array of shape (count, s)."""
+    out = []
+    for pivots in itertools.combinations(range(n), s):
+        # Row j leads at bit pivots[j]; its lower bits outside the pivot
+        # columns are free.
+        free = [(j, h) for j, p in enumerate(pivots) for h in range(p) if h not in pivots]
+        for fill in itertools.product((0, 1), repeat=len(free)):
+            rows = [1 << p for p in pivots]
+            for (j, h), bit in zip(free, fill):
+                rows[j] |= bit << h
+            out.append(rows)
+    return np.array(out, dtype=np.int64).reshape(-1, s)
+
+
+def _independent_tuples(m: int, s: int) -> np.ndarray:
+    """Every ordered s-tuple of linearly independent m-bit words, as an array
+    of shape (count, s); each tuple is extended only by words outside the span
+    of its prefix, so nothing is built twice."""
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    spans = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(s):
+        outside = np.ones((len(tuples), 1 << m), dtype=bool)
+        outside[np.arange(len(tuples))[:, None], spans] = False
+        prefix, word = np.nonzero(outside)
+        tuples = np.column_stack([tuples[prefix], word])
+        spans = np.concatenate([spans[prefix], spans[prefix] ^ word[:, None]], axis=1)
+    return tuples
+
+
+def _spread(columns: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Bit i of each m-bit column moved to bit n*i: times an n-bit row r, that
+    is the flattened rank-one matrix with row r wherever the column is 1."""
+    out = np.zeros_like(columns)
+    for i in range(m):
+        out |= ((columns >> i) & 1) << (n * i)
+    return out
+
+
 @lru_cache(maxsize=16)
 def rank_ball_masks(m: int, n: int, radius: int) -> np.ndarray:
-    """Flattened words of all matrices with rank <= radius, ascending.
+    """Flattened words of all m x n matrices with rank <= radius, ascending.
 
-    Cached per (m, n, radius) and read-only, so repeated calls share one
-    array and do not rescan the rank table."""
-    if not 0 <= radius <= n:
-        raise InvalidParameterError(f"rank radius must be in [0, {n}], got {radius}")
-    ball = np.flatnonzero(rank_table(m, n) <= radius).astype(np.int64)
+    A rank-s matrix is X R for exactly one s x n basis R of its row space in
+    reduced row echelon form and one m x s matrix X of full column rank, so
+    enumerating the pairs (X, R) for s <= radius lists the ball once, at the
+    ball's cost.  Cached per (m, n, radius) and read-only, so repeated calls
+    share one array."""
+    size = rank_ball_size(2, m, n, radius)
+    if size > 1 << PROFILE_MAX_BITS:
+        raise ResourceLimitError(
+            f"rank ball of {size} words exceeds the cap of 2^{PROFILE_MAX_BITS}"
+        )
+    if m * n > MAX_MATRIX_BITS:
+        raise ResourceLimitError(f"rank ball words capped at mn <= {MAX_MATRIX_BITS}")
+    parts = [np.zeros(1, dtype=np.int64)]
+    for s in range(1, radius + 1):
+        columns = _spread(_independent_tuples(m, s), m, n)
+        rows = _rref_rows(n, s)
+        words = np.zeros((len(columns), len(rows)), dtype=np.int64)
+        for j in range(s):
+            words ^= columns[:, j, None] * rows[None, :, j]
+        parts.append(words.ravel())
+    ball = np.sort(np.concatenate(parts))
     ball.flags.writeable = False
     return ball
 
@@ -238,10 +299,12 @@ def rank_potential(profile: ListProfile, epsilon: float) -> PotentialState:
 
 
 def check_rank_potential_step(code: RankCode, epsilon: float, radius: int) -> StepReport:
-    table = rank_list_size_table(code, radius)
-    return step_check_from_table(
-        table, code.params.n, code.codeword_array(), epsilon, radius
-    )
+    """The one-step rule over the cosets of the rank code; the potential
+    exponent scales with n."""
+    params = code.params
+    check_quotient_cap(params.universe_bits, code.effective_dim)
+    ball = rank_ball_masks(params.m, params.n, radius)
+    return step_check_cosets(code.basis, ball, params.universe_bits, params.n, epsilon, radius)
 
 
 @dataclass(frozen=True)

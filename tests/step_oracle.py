@@ -1,0 +1,169 @@
+"""The dense step check: the oracle twin of listsize.step_check_cosets.
+
+It builds the 2^N list-size table, gets the weight row of every candidate b
+from XOR correlations (a float Walsh-Hadamard transform, rounded), and runs
+the same float prefilter, interval recheck and Markov comparison over all 2^N
+candidates.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from listdec import precise
+from listdec.errors import ResourceLimitError
+from listdec.listsize import (
+    PAIR_CHECK_MAX_BITS,
+    StepReport,
+    coset_counts,
+    iv_excess,
+    list_size_table,
+    potential,
+    potential_exponent,
+    profile_from_table,
+)
+from listdec.rankmetric import rank_list_size_table
+
+
+def fwht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform (float64, exact for our counts)."""
+    out = values.astype(np.float64).copy()
+    size = out.size
+    h = 1
+    while h < size:
+        out = out.reshape(size // (2 * h), 2, h)
+        top = out[:, 0, :] + out[:, 1, :]
+        bottom = out[:, 0, :] - out[:, 1, :]
+        out = np.stack([top, bottom], axis=1).reshape(size)
+        h *= 2
+    return out
+
+
+def pair_sum_weights(table: np.ndarray) -> np.ndarray:
+    """weights[b, s] = #{x : L(x) + L(x^b) = s}, exact via XOR correlations."""
+    size = len(table)
+    vmax = int(table.max())
+    transforms = []
+    for v in range(vmax + 1):
+        indicator = (table == v).astype(np.float64)
+        transforms.append(fwht(indicator))
+    weights = np.zeros((size, 2 * vmax + 1), dtype=np.int64)
+    for u in range(vmax + 1):
+        for v in range(u, vmax + 1):
+            corr = fwht(transforms[u] * transforms[v]) / size
+            counts = np.rint(corr).astype(np.int64)
+            if u == v:
+                weights[:, u + v] += counts
+            else:
+                weights[:, u + v] += 2 * counts
+    return weights
+
+
+def step_check_from_table(
+    table: np.ndarray,
+    block_length: int,
+    span_words: np.ndarray,
+    epsilon: float,
+    radius: int,
+) -> StepReport:
+    """The step check over all candidates of the table's universe; the
+    potential exponent scales with block_length."""
+    profile = profile_from_table(table, block_length, radius)
+    universe_bits = profile.universe_bits
+    if universe_bits > PAIR_CHECK_MAX_BITS:
+        raise ResourceLimitError(f"step check capped at 2^{PAIR_CHECK_MAX_BITS} candidates")
+    state = potential(profile, epsilon)
+    t_excess = state.excess
+    if t_excess == 0:
+        return StepReport(
+            hypothesis_met=True,
+            degenerate=True,
+            excess=0.0,
+            probability=Fraction(0),
+            markov_bound=0.0,
+            holds=True,
+        )
+    if not t_excess < 1:
+        return StepReport(
+            hypothesis_met=False,
+            degenerate=False,
+            excess=float(t_excess),
+            probability=Fraction(0),
+            markov_bound=float(t_excess) ** 0.5,
+            holds=False,
+        )
+
+    size = len(table)
+    weights = pair_sum_weights(table)
+
+    def builder_threshold(ctx):
+        t = iv_excess(ctx, profile, epsilon)
+        return (1 + 2 * t + t ** ctx.mpf(1.5)) * ctx.mpf(2) ** universe_bits
+
+    # Float prefilter; only candidates within the margin get an interval recheck.
+    e_float = epsilon * block_length / (1 + epsilon)
+    smax = weights.shape[1] - 1
+    pows = np.exp2(e_float * np.arange(smax + 1))
+    lhs = weights @ pows
+    thr = precise.eval_midpoint(builder_threshold)
+    margin = 1e-9 * max(abs(thr), 1.0)
+    exceed = lhs > thr + margin
+    uncertain = np.abs(lhs - thr) <= margin
+    for b in np.nonzero(uncertain)[0]:
+        row = weights[int(b)]
+
+        def builder_lhs(ctx, row=row):
+            e = potential_exponent(ctx, epsilon, block_length)
+            total = ctx.mpf(0)
+            for s, w in enumerate(row):
+                if w:
+                    total += int(w) * ctx.mpf(2) ** (e * s)
+            return total
+
+        exceed[int(b)] = not precise.certified_le(builder_lhs, builder_threshold)
+    # Candidates already in the span leave the code unchanged, so they never exceed.
+    exceed[span_words] = False
+    count = int(exceed.sum())
+    probability = Fraction(count, size)
+    markov = math.sqrt(float(t_excess))
+    if probability == 0:
+        holds = True
+    else:
+        holds = precise.certified_less(
+            lambda ctx: precise.iv_fraction(ctx, probability),
+            lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
+        )
+    return StepReport(
+        hypothesis_met=True,
+        degenerate=False,
+        excess=float(t_excess),
+        probability=probability,
+        markov_bound=markov,
+        holds=holds,
+    )
+
+
+def affordable(report: StepReport, basis, ball: np.ndarray, universe_bits: int) -> bool:
+    """Whether the oracle finishes quickly where the engine gave report:
+    pair_sum_weights takes about (vmax + 1)^2 / 2 transforms of
+    2^universe_bits entries, vmax the largest list size, and below T = 1e-5
+    the float prefilter leaves nearly every candidate to an interval recheck."""
+    _, mult = coset_counts(basis, ball)
+    if (int(mult.max()) + 1) ** 2 << universe_bits > 1 << 22:
+        return False
+    return report.degenerate or not report.hypothesis_met or report.excess >= 1e-5
+
+
+def dense_potential_step(code, epsilon: float, radius: int) -> StepReport:
+    """check_potential_step by the dense oracle."""
+    table = list_size_table(code, radius)
+    return step_check_from_table(table, code.n, code.codeword_array(), epsilon, radius)
+
+
+def dense_rank_potential_step(code, epsilon: float, radius: int) -> StepReport:
+    """check_rank_potential_step by the dense oracle."""
+    table = rank_list_size_table(code, radius)
+    return step_check_from_table(table, code.params.n, code.codeword_array(), epsilon, radius)

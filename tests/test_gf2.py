@@ -113,6 +113,13 @@ class TestBallEnumeration:
         for r in range(n + 1):
             assert len(ball_masks(n, r)) == hamming_volume(n, r)
 
+    def test_cached_read_only(self):
+        first = ball_masks(9, 2)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1
+        assert ball_masks(9, 2) is first
+
     def test_translation(self):
         rng = Rng(14, 0)
         for _ in range(20):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from listdec import (
@@ -14,6 +14,7 @@ from listdec import (
     CodeTable,
     InvalidParameterError,
     LinearCode,
+    ResourceLimitError,
     Rng,
     certify,
     check_potential_step,
@@ -30,15 +31,25 @@ from listdec import (
     tail_stats,
     uniform_random_code,
 )
+from listdec import listsize, precise
 from listdec.counting import binary_entropy
 from listdec.gf2 import ball_masks
 from listdec.listsize import (
+    SCATTER_MAX,
     certify_table,
     coset_counts,
+    coset_pair_weights,
     coset_reduce,
     naive_table,
     profile_from_table,
+    quotient_index,
     scatter_table,
+)
+from step_oracle import (
+    affordable,
+    dense_potential_step,
+    pair_sum_weights,
+    step_check_from_table,
 )
 
 
@@ -387,8 +398,6 @@ class TestPotentialStep:
         assert report.holds
 
     def test_degenerate_empty_table(self):
-        from listdec.listsize import step_check_from_table
-
         table = np.zeros(1 << 6, dtype=np.int64)
         report = step_check_from_table(table, 6, np.zeros(0, dtype=np.int64), 0.5, 1)
         assert report.degenerate
@@ -413,7 +422,7 @@ class TestPotentialStep:
         assert checked >= 10
 
     def test_exceedance_count_matches_per_candidate_recomputation(self):
-        # Oracle for the transform-based counting: extend the code by every
+        # Oracle for the coset-pair counting: extend the code by every
         # candidate b explicitly and compare potentials directly.
         rng = Rng(33, 0)
         for i in range(4):
@@ -433,6 +442,132 @@ class TestPotentialStep:
                 assert margin > 1e-9 * threshold, "candidate too close to classify in floats"
                 exceed += ext.value_float > threshold
             assert report.probability == Fraction(exceed, 1 << n)
+
+
+@st.composite
+def step_codes(draw, max_n: int):
+    """A code (zero and dependent generators among random ones, or the full
+    space), a radius of at most 3 and an epsilon."""
+    n = draw(st.integers(3, max_n))
+    word = st.integers(0, (1 << n) - 1)
+    gens = draw(st.lists(word | st.just(0), max_size=5))
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens.append(gens[0] ^ gens[-1])
+    code = full_space(n) if draw(st.integers(0, 9)) == 0 else code_from_ints(n, gens)
+    return code, draw(st.integers(0, min(n, 3))), draw(st.floats(0.02, 1.0))
+
+
+def seeded_step_codes(count: int, max_n: int, seed: int):
+    """Random codes of dimension at most n/2, radius 1 or 2: about half meet
+    the hypothesis T < 1 with some candidate exceeding."""
+    rng = Rng(seed, 0)
+    for i in range(count):
+        n = rng.integer(4, max_n + 1)
+        code = random_linear_code(n, rng.integer(0, min(n // 2, 5) + 1), rng.substream(i))
+        yield code, rng.integer(1, 3), rng.uniform(0.05, 0.6)
+
+
+def weight_rows(code, radius: int, chunk_pairs: int = 1 << 24) -> np.ndarray:
+    """coset_pair_weights scaled by 2^dim and spread to every candidate b."""
+    basis, n = code.basis, code.n
+    reps, mult = coset_counts(basis, ball_masks(n, radius))
+    table = np.zeros(1 << (n - basis.dim), dtype=np.int64)
+    table[quotient_index(basis, reps, n)] = mult
+    rows = coset_pair_weights(table, chunk_pairs)
+    classes = quotient_index(basis, coset_reduce(basis, np.arange(1 << n)), n)
+    return rows[classes] << basis.dim
+
+
+class TestCosetStepEngine:
+    """check_potential_step against the dense oracle over all 2^n candidates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_codes(12))
+    def test_matches_dense_oracle(self, drawn):
+        code, radius, eps = drawn
+        report = check_potential_step(code, eps, radius)
+        assume(affordable(report, code.basis, ball_masks(code.n, radius), code.n))
+        assert report == dense_potential_step(code, eps, radius)
+
+    def test_seeded_sweep_matches_dense_oracle(self):
+        exceeding = 0
+        for code, radius, eps in seeded_step_codes(80, 12, 35):
+            report = check_potential_step(code, eps, radius)
+            assert report == dense_potential_step(code, eps, radius)
+            exceeding += report.probability > 0
+        assert exceeding >= 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(linear_codes(10), st.data())
+    def test_weight_rows_match_pair_sum_weights(self, code, data):
+        radius = data.draw(st.integers(0, code.n))
+        table = list_size_table(code, radius)
+        assume(table.max() <= 12)
+        chunk_pairs = data.draw(st.sampled_from([1, 7, 1 << 24]))
+        assert (weight_rows(code, radius, chunk_pairs) == pair_sum_weights(table)).all()
+
+    # With the float prefilter deciding nothing, every class goes through
+    # the interval recheck and must decide as the oracle does.
+    @settings(max_examples=20, deadline=None)
+    @given(step_codes(7))
+    def test_every_class_rechecked(self, drawn):
+        code, radius, eps = drawn
+        report = check_potential_step(code, eps, radius)
+        assume(affordable(report, code.basis, ball_masks(code.n, radius), code.n))
+        assert report == dense_potential_step(code, eps, radius)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+            assert check_potential_step(code, eps, radius) == report
+
+    def test_seeded_sweep_every_class_rechecked(self, monkeypatch):
+        cases = list(seeded_step_codes(20, 8, 36))
+        oracles = [dense_potential_step(code, eps, radius) for code, radius, eps in cases]
+        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        for (code, radius, eps), oracle in zip(cases, oracles):
+            assert check_potential_step(code, eps, radius) == oracle
+        assert sum(oracle.probability > 0 for oracle in oracles) >= 5
+
+    @pytest.mark.parametrize("n,gens", [(6, ()), (7, (0b1010011, 0b0110101)), (5, (3, 3, 0))])
+    def test_only_candidates_outside_the_code_count(self, n, gens, monkeypatch):
+        # Every class rechecked and every recheck answering "exceeds": the
+        # count is exactly the candidates outside the code.
+        code = code_from_ints(n, gens)
+        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(precise, "certified_le", lambda lhs, rhs: False)
+        report = check_potential_step(code, 0.2, 1)
+        assert report.hypothesis_met
+        assert report.probability == 1 - Fraction(code.size, 1 << n)
+
+    def test_degenerate_at_tiny_epsilon(self):
+        code = code_from_ints(6, (0b100101,))
+        report = check_potential_step(code, 1e-300, 2)
+        assert report.degenerate
+        assert report == dense_potential_step(code, 1e-300, 2)
+
+    def test_oversized_quotient_raises_at_once(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("ball built before the cap")
+
+        monkeypatch.setattr(listsize, "hamming_ball", unreachable)
+        with pytest.raises(ResourceLimitError):
+            check_potential_step(code_from_ints(20, (1, 2, 4)), 0.5, 1)
+
+    def test_pair_cap(self):
+        # Three list sizes, equally common: 2/3 of the 2^16 cosets deviate
+        # from the most common one, over SCATTER_MAX ordered pairs.
+        table = np.arange(1 << 16, dtype=np.int64) % 3
+        assert (2 * len(table) // 3) ** 2 > SCATTER_MAX
+        with pytest.raises(ResourceLimitError):
+            coset_pair_weights(table)
+
+    def test_runs_beyond_sixteen_bits(self):
+        # n = 24, k = 12: a 2^12 quotient, though 2^24 candidates.
+        code = random_linear_code(24, 12, Rng(34, 0))
+        report = check_potential_step(code, 0.1, 2)
+        assert report.hypothesis_met and report.probability > 0
+        assert report.holds
+        assert (report.probability * (1 << 24)).denominator == 1
+        assert (report.probability * (1 << (24 - code.effective_dim))).denominator == 1
 
 
 class TestEnvelope:

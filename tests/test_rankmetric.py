@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from listdec import (
@@ -29,9 +29,10 @@ from listdec import (
     rank_potential,
     tail_stats,
 )
-from listdec import rankmetric
+from listdec import listsize, rankmetric
 from listdec.listsize import certify_table, profile_from_table
 from listdec.rankmetric import rank_ball_masks, rank_list_size_table, rank_table
+from step_oracle import affordable, dense_rank_potential_step
 
 
 def zero_code(m: int, n: int, radius: int) -> RankCode:
@@ -249,6 +250,104 @@ class TestRankBallCache:
         monkeypatch.setattr(rankmetric, "rank_table", untouchable)
         assert rank_ball_masks(4, 3, 1) is first
         assert len(first) == rank_ball_size(2, 4, 3, 1)
+
+
+class TestDirectRankBall:
+    SHAPES = [(m, n) for n in range(1, 5) for m in range(n, 21) if m * n <= 20]
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_matches_rank_table(self, m, n):
+        ranks = rank_table(m, n)
+        for radius in range(n + 1):
+            assert np.array_equal(rank_ball_masks(m, n, radius), np.flatnonzero(ranks <= radius))
+
+    def test_oversized_ball_raises_at_once(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("enumerated before the cap")
+
+        monkeypatch.setattr(rankmetric, "_independent_tuples", unreachable)
+        with pytest.raises(ResourceLimitError):
+            rank_ball_masks(10, 6, 2)
+
+
+@st.composite
+def step_rank_codes(draw):
+    """A rank code with mn <= 16 (zero and dependent generators among random
+    ones, or the full space), a radius and an epsilon."""
+    m, n = draw(st.sampled_from(
+        [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3), (6, 2), (8, 2),
+         (4, 4), (16, 1)]
+    ))
+    word = st.integers(0, (1 << (m * n)) - 1)
+    gens = draw(st.lists(word | st.just(0), max_size=5))
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens.append(gens[0] ^ gens[-1])
+    # The full space only up to 2^12 centers: beyond, the oracle's scatter
+    # table exceeds its increments cap.
+    if m * n <= 12 and draw(st.integers(0, 9)) == 0:
+        code = full_code(m, n, 1)
+    else:
+        code = rank_code_from_ints(m, n, gens)
+    # Radius at most 1 beyond 2^12 centers: a larger ball there leaves
+    # thousands of cosets off the most common list size, and the pairs of
+    # those dominate the run time.
+    radius = draw(st.integers(0, n if m * n <= 12 else 1))
+    return code, radius, draw(st.floats(0.02, 1.0))
+
+
+class TestRankStepEngine:
+    """check_rank_potential_step against the dense oracle over all 2^(mn)
+    candidates."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(step_rank_codes())
+    def test_matches_dense_oracle(self, drawn):
+        code, radius, eps = drawn
+        params = code.params
+        ball = rank_ball_masks(params.m, params.n, radius)
+        report = check_rank_potential_step(code, eps, radius)
+        assume(affordable(report, code.basis, ball, params.universe_bits))
+        assert report == dense_rank_potential_step(code, eps, radius)
+
+    def test_benchmark_shape_sweep(self):
+        # 4 x 4 codes of dimension 4 at radius 1 and epsilon 0.5.
+        exceeding = 0
+        for i in range(6):
+            code = random_linear_rank_code(RankParams(4, 4, 1), 4, Rng(68, i))
+            report = check_rank_potential_step(code, 0.5, 1)
+            assert report == dense_rank_potential_step(code, 0.5, 1)
+            exceeding += report.probability > 0
+        assert exceeding >= 3
+
+    def test_every_class_rechecked(self, monkeypatch):
+        rng = Rng(69, 0)
+        cases = []
+        for i in range(12):
+            m, n = [(4, 2), (3, 3), (5, 2)][i % 3]
+            code = random_linear_rank_code(RankParams(m, n, 1), rng.integer(0, 4), rng.substream(i))
+            eps = rng.uniform(0.3, 0.8)
+            cases.append((code, eps, dense_rank_potential_step(code, eps, 1)))
+        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        for code, eps, oracle in cases:
+            assert check_rank_potential_step(code, eps, 1) == oracle
+        assert sum(oracle.probability > 0 for _, _, oracle in cases) >= 6
+
+    def test_oversized_quotient_raises_at_once(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("ball built before the cap")
+
+        monkeypatch.setattr(rankmetric, "rank_ball_masks", unreachable)
+        with pytest.raises(ResourceLimitError):
+            check_rank_potential_step(zero_code(5, 4, 1), 0.5, 1)
+
+    @pytest.mark.parametrize("m,n,radius", [(16, 1, 1), (5, 3, 3), (8, 2, 2)])
+    def test_ball_covering_the_space(self, m, n, radius):
+        # Every coset has list size 1: no coset deviates from the most common
+        # list size, so no pair is enumerated.
+        code = zero_code(m, n, radius)
+        report = check_rank_potential_step(code, 0.2, radius)
+        assert report.hypothesis_met
+        assert report == dense_rank_potential_step(code, 0.2, radius)
 
 
 class TestRankBounds:
