@@ -75,7 +75,6 @@ from .rankmetric import (
     rank_distance,
     rank_list_profile,
     rank_list_profile_naive,
-    rank_potential,
 )
 from .secondmoment import (
     ball_fraction,

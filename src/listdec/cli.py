@@ -4,7 +4,8 @@ seeds, JSON/CSV outputs, config echo and atomic writes.
 Every run resolves its arguments into a config dict that is echoed into the
 output header; re-running `listdec --config <echoed>` reproduces the output
 byte for byte.  Exit codes: 0 success or property holds, 1 witness or
-construction failure, 2 invalid parameters, 3 resource limit.
+construction failure, 2 invalid parameters, 3 resource limit (a cap of the
+library, raised as ResourceLimitError before anything is allocated).
 """
 
 from __future__ import annotations
@@ -30,20 +31,6 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
-
-TABLE_GUARD_BITS = 26
-SCATTER_GUARD = 1 << 30
-
-
-def guard_resources(universe_bits: int, scatter_increments: int) -> None:
-    if universe_bits > TABLE_GUARD_BITS:
-        raise ResourceLimitError(
-            f"table of 2^{universe_bits} entries exceeds the 2^{TABLE_GUARD_BITS} cap"
-        )
-    if scatter_increments > SCATTER_GUARD:
-        raise ResourceLimitError(
-            f"{scatter_increments} scatter increments exceed the 2^30 cap"
-        )
 
 
 def jsonable(value):
@@ -102,9 +89,7 @@ def render_csv(config: dict, columns: list[str], rows: list[dict], summary: dict
 
 def potential_fields(profile, epsilon):
     state = listsize.potential(profile, epsilon)
-    value = state.value_float
-    excess = state.excess_float
-    return value, excess
+    return state.value_float, state.excess_float
 
 
 def need(params: dict, *keys: str) -> None:
@@ -121,7 +106,10 @@ def build_code(params: dict, rng: Rng):
         need(params, "k")
         return constructors.random_linear_code(n, params["k"], rng)
     if family == "uniform":
-        need(params, "messages")
+        need(params, "messages", "radius")
+        # The library's table caps, checked before any word is drawn.
+        volume = counting.hamming_volume(n, params["radius"])
+        listsize.check_scatter_caps(n, params["messages"] * volume)
         return constructors.uniform_random_code(n, params["messages"], rng)
     raise InvalidParameterError(f"unknown code family {family!r}")
 
@@ -150,11 +138,7 @@ def cmd_volumes(params: dict, master_seed, trials):
 def cmd_profile(params: dict, master_seed, trials):
     need(params, "n", "radius", "epsilon")
     n, radius = params["n"], params["radius"]
-    guard_resources(n, 0)
-    rng = Rng(master_seed, 0)
-    code = build_code(params, rng)
-    words = code.codeword_array()
-    guard_resources(n, len(words) * counting.hamming_volume(n, radius))
+    code = build_code(params, Rng(master_seed, 0))
     profile = listsize.list_profile(code, radius)
     value, excess = potential_fields(profile, params["epsilon"])
     p_geq = {}
@@ -183,11 +167,7 @@ def cmd_profile(params: dict, master_seed, trials):
 def cmd_certify(params: dict, master_seed, trials):
     need(params, "n", "radius", "max_list")
     n, radius = params["n"], params["radius"]
-    guard_resources(n, 0)
-    rng = Rng(master_seed, 0)
-    code = build_code(params, rng)
-    words = code.codeword_array()
-    guard_resources(n, len(words) * counting.hamming_volume(n, radius))
+    code = build_code(params, Rng(master_seed, 0))
     cert = listsize.certify(code, radius, params["max_list"])
     result = {
         "n": n,
@@ -212,15 +192,13 @@ def cmd_construct(params: dict, master_seed, trials):
 
     if kind == "linear":
         need(params, "k")
-        linear = constructors.random_linear_code(n, params["k"], rng)
-        result["generators"] = [g.to_string() for g in linear.generators]
-        result["effective_dim"] = linear.effective_dim
-        built = linear
+        built = constructors.random_linear_code(n, params["k"], rng)
+        result["generators"] = [g.to_string() for g in built.generators]
+        result["effective_dim"] = built.effective_dim
     elif kind == "uniform":
         need(params, "messages")
-        table = constructors.uniform_random_code(n, params["messages"], rng)
-        result["words"] = [w.to_string() for w in table.words]
-        built = table
+        built = constructors.uniform_random_code(n, params["messages"], rng)
+        result["words"] = [w.to_string() for w in built.words]
     elif kind == "guided":
         need(params, "k", "radius", "epsilon")
         try:
@@ -289,7 +267,6 @@ def cmd_rank(params: dict, master_seed, trials):
     rng = Rng(master_seed, 0)
     rank_params = rankmetric.RankParams(m, n, radius)
     code = rankmetric.random_linear_rank_code(rank_params, params["k"], rng)
-    guard_resources(rank_params.universe_bits, 0)
     if action == "profile":
         profile = rankmetric.rank_list_profile(code, radius)
         result = {
@@ -388,7 +365,6 @@ def cmd_lowerbound(params: dict, master_seed, trials):
     if action == "separate":
         need(params, "n", "radius", "epsilon")
         n, radius = params["n"], params["radius"]
-        guard_resources(n, 0)
         rng = Rng(master_seed, 0)
         result = secondmoment.separation_experiment(
             n, radius, params["epsilon"], trials or 0, rng
@@ -414,7 +390,6 @@ def cmd_lowerbound(params: dict, master_seed, trials):
 def cmd_potential_trace(params: dict, master_seed, trials):
     need(params, "n", "k", "radius", "epsilon")
     n, k, radius, epsilon = params["n"], params["k"], params["radius"], params["epsilon"]
-    guard_resources(n, 0)
     rng = Rng(master_seed, 0)
     if params.get("guided"):
         code, trace = constructors.potential_guided_code(n, k, radius, epsilon, rng)

@@ -24,6 +24,7 @@ from .listsize import (
     hamming_ball,
     iv_excess,
     list_profile,
+    one_step_bound,
     potential,
     scatter_table,
 )
@@ -61,8 +62,8 @@ class CodeTable:
 
 
 def random_linear_code(n: int, k: int, rng: Rng) -> LinearCode:
-    if not 0 <= k <= n or n > 26:
-        raise InvalidParameterError(f"need 0 <= k <= n <= 26, got k = {k}, n = {n}")
+    if not 0 <= k <= n:
+        raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
     gens = tuple(BitVector(n, rng.bits(n)) for _ in range(k))
     return LinearCode(n, gens)
 
@@ -120,8 +121,8 @@ def potential_guided_code(
     POTENTIAL_PREC bits, and again, exactly or in certified intervals, when
     the two sides are within RECHECK_MARGIN of each other.
     """
-    if not 0 <= k <= n or n > 26:
-        raise InvalidParameterError(f"need 0 <= k <= n <= 26, got k = {k}, n = {n}")
+    if not 0 <= k <= n:
+        raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
     if rule not in ("step", "square"):
         raise InvalidParameterError(f"unknown acceptance rule {rule!r}")
 
@@ -138,12 +139,10 @@ def potential_guided_code(
         raise ConstructionError(msg, partial=(LinearCode(n, tuple(gens)), trace))
 
     for step in range(1, k + 1):
-        t = state.excess
-        s = state.value
-        if rule == "step":
-            threshold = precise.with_mp(lambda ctx: 1 + 2 * t + t ** ctx.mpf(1.5), POTENTIAL_PREC)
-        else:
-            threshold = precise.with_mp(lambda ctx: s * s, POTENTIAL_PREC)
+        t, s = state.excess, state.value
+        threshold = precise.with_mp(
+            lambda ctx: one_step_bound(ctx, t) if rule == "step" else s * s, POTENTIAL_PREC
+        )
         retries = 0
         draws = 0
         while True:
@@ -198,7 +197,7 @@ def _accepts(profile, cand_profile, value, threshold, epsilon: float, rule: str)
 
     def bound(ctx):
         t = iv_excess(ctx, profile, epsilon)
-        return 1 + 2 * t + t ** ctx.mpf(1.5) if rule == "step" else (1 + t) ** 2
+        return one_step_bound(ctx, t) if rule == "step" else (1 + t) ** 2
 
     return precise.certified_le(lambda ctx: 1 + iv_excess(ctx, cand_profile, epsilon), bound)
 
@@ -273,8 +272,6 @@ def lll_condition(n: int, radius: int, num_messages: int, max_list: int) -> LLLR
         raise InvalidParameterError(
             f"need at least max_list + 1 messages, got {num_messages}"
         )
-    if not 0 <= radius <= n:
-        raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
     mu = Fraction(hamming_volume(n, radius), 1 << n)
     p_bad = mu ** (max_list + 1)
     degree = (1 << n) * (max_list + 1) * num_messages**max_list
@@ -345,8 +342,6 @@ def moser_tardos_construct(
         raise InvalidParameterError(f"max_list must be at least 1, got {max_list}")
     if not 1 <= num_messages <= (1 << n):
         raise InvalidParameterError(f"message count must be in [1, 2^{n}]")
-    if not 0 <= radius <= n:
-        raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
     check_scatter_caps(n, num_messages * hamming_volume(n, radius))
     ball = ball_masks(n, radius)
     words = rng.bit_array(n, num_messages)

@@ -271,9 +271,8 @@ def hamming_ball(n: int, radius: int) -> np.ndarray:
 
 def list_size_table(code, radius: int) -> np.ndarray:
     """L[x] for every center x of F_2^n, via codeword-ball scatter."""
-    if not 0 <= radius <= code.n:
-        raise InvalidParameterError(f"radius must be in [0, {code.n}], got {radius}")
-    return scatter_table(code.codeword_array(), ball_masks(code.n, radius), code.n)
+    ball = hamming_ball(code.n, radius)
+    return scatter_table(code.codeword_array(), ball, code.n)
 
 
 def list_profile(code, radius: int) -> ListProfile:
@@ -293,9 +292,9 @@ def list_profile_naive(code, radius: int) -> ListProfile:
     return profile_from_table(table, code.n, radius)
 
 
-def recount_center(words, center: int, radius: int) -> int:
-    """Independent single-center recount used to verify witnesses."""
-    return sum(1 for w in words if bin(int(w) ^ center).count("1") <= radius)
+def recount_center(words: np.ndarray, center: int, radius: int) -> int:
+    """Independent recount of one center's list, by distances to the words."""
+    return int(np.count_nonzero(popcount_array(words ^ np.int64(center)) <= radius))
 
 
 def certify_table(table: np.ndarray, max_list: int) -> tuple[bool, int | None, int]:
@@ -364,18 +363,31 @@ def potential_exponent(ctx, epsilon: float, block_length: int):
     return eps * block_length / (1 + eps)
 
 
+def potential_sum(ctx, counts, epsilon: float, block_length: int):
+    """sum of c * 2^(e ell) over the pairs (ell, c) of counts, e the potential
+    exponent: a profile's potential times 2^universe_bits, or a weight row's."""
+    e = potential_exponent(ctx, epsilon, block_length)
+    total = ctx.mpf(0)
+    for ell, c in counts:
+        total += c * ctx.mpf(2) ** (e * ell)
+    return total
+
+
+def potential_mean(ctx, profile: ListProfile, epsilon: float):
+    """The potential S of the profile, in the arithmetic of ctx."""
+    total = potential_sum(ctx, profile.counts, epsilon, profile.block_length)
+    return total / (ctx.mpf(2) ** profile.universe_bits)
+
+
+def one_step_bound(ctx, t):
+    """The one-step threshold 1 + 2T + T^1.5 on S after one more generator."""
+    return 1 + 2 * t + t ** ctx.mpf(1.5)
+
+
 def potential(profile: ListProfile, epsilon: float, prec: int = POTENTIAL_PREC) -> PotentialState:
     if not epsilon > 0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
-
-    def build(ctx):
-        e = potential_exponent(ctx, epsilon, profile.block_length)
-        total = ctx.mpf(0)
-        for ell, c in profile.counts:
-            total += c * ctx.mpf(2) ** (e * ell)
-        return total / (ctx.mpf(2) ** profile.universe_bits)
-
-    value = precise.with_mp(build, prec=prec)
+    value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon), prec=prec)
     return PotentialState(
         value=value,
         excess=value - 1,
@@ -533,8 +545,7 @@ def step_check_cosets(
     rows = coset_pair_weights(table)
 
     def builder_threshold(ctx):
-        t = iv_excess(ctx, profile, epsilon)
-        return (1 + 2 * t + t ** ctx.mpf(1.5)) * ctx.mpf(2) ** quotient_bits
+        return one_step_bound(ctx, iv_excess(ctx, profile, epsilon)) * ctx.mpf(2) ** quotient_bits
 
     # Float prefilter; only classes within the margin get an interval recheck.
     e_float = epsilon * block_length / (1 + epsilon)
@@ -551,12 +562,8 @@ def step_check_cosets(
     for row in distinct:
 
         def builder_lhs(ctx, row=row):
-            e = potential_exponent(ctx, epsilon, block_length)
-            total = ctx.mpf(0)
-            for s, w in enumerate(row):
-                if w:
-                    total += int(w) * ctx.mpf(2) ** (e * s)
-            return total
+            weights = ((s, int(w)) for s, w in enumerate(row) if w)
+            return potential_sum(ctx, weights, epsilon, block_length)
 
         rechecked.append(not precise.certified_le(builder_lhs, builder_threshold))
     exceed[uncertain] = np.array(rechecked, dtype=bool)[inverse]
@@ -591,11 +598,7 @@ def check_potential_step(code: LinearCode, epsilon: float, radius: int) -> StepR
 
 
 def iv_excess(ctx, profile: ListProfile, epsilon: float):
-    e = potential_exponent(ctx, epsilon, profile.block_length)
-    total = ctx.mpf(0)
-    for ell, c in profile.counts:
-        total += c * ctx.mpf(2) ** (e * ell)
-    return total / (ctx.mpf(2) ** profile.universe_bits) - 1
+    return potential_mean(ctx, profile, epsilon) - 1
 
 
 def _iv_envelope(ctx, n: int, radius: int, epsilon: float, steps: int) -> list:
@@ -647,21 +650,11 @@ def max_envelope_steps(n: int, radius: int, epsilon: float) -> int:
         return max(0, math.floor(value))
 
     def build(ctx):
-        return n * (1 - precise.iv_entropy(ctx, radius, n) - ctx.mpf(epsilon))
+        value = n * (1 - precise.iv_entropy(ctx, radius, n) - ctx.mpf(epsilon))
+        lo, hi = (math.floor(x) for x in precise.endpoints(value))
+        return max(0, lo) if lo == hi else None
 
-    with precise._LOCK:
-        from mpmath import iv, mpf
-
-        prec = precise.DEFAULT_PREC
-        while prec <= precise.MAX_PREC:
-            iv.prec = prec
-            val = build(iv)
-            lo = math.floor(float(mpf(val.a)))
-            hi = math.floor(float(mpf(val.b)))
-            if lo == hi:
-                return max(0, lo)
-            prec *= 2
-    raise precise.PrecisionError("envelope step count not resolved")
+    return precise.certified(build)
 
 
 def envelope_trace(n: int, radius: int, epsilon: float, steps: int) -> EnvelopeTrace:
@@ -681,32 +674,29 @@ def envelope_trace(n: int, radius: int, epsilon: float, steps: int) -> EnvelopeT
     if not epsilon > 0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
 
-    from mpmath import iv, mpf
+    def build(ctx):
+        deltas = _iv_envelope(ctx, n, radius, epsilon, steps)
+        comparisons = [
+            deltas[i] < ctx.mpf(2) ** (i + 1) * deltas[0] for i in range(1, steps + 1)
+        ]
+        if any(c is None for c in comparisons):
+            return None
+        violations = tuple(i + 1 for i, c in enumerate(comparisons) if c is False)
+        floats = tuple(precise.midpoint(x) for x in deltas)
+        return EnvelopeTrace(
+            n=n,
+            radius=radius,
+            epsilon=epsilon,
+            steps=steps,
+            delta0=floats[0],
+            deltas=floats,
+            envelope_ok=not violations,
+            violations=violations,
+        )
 
-    with precise._LOCK:
-        prec = 2 * precise.DEFAULT_PREC
-        while prec <= precise.MAX_PREC * 4:
-            iv.prec = prec
-            deltas = _iv_envelope(iv, n, radius, epsilon, steps)
-            delta0 = deltas[0]
-            comparisons = [
-                deltas[i] < iv.mpf(2) ** (i + 1) * delta0 for i in range(1, steps + 1)
-            ]
-            if all(c is not None for c in comparisons):
-                violations = tuple(i + 1 for i, c in enumerate(comparisons) if c is False)
-                floats = tuple(float(mpf(x.a) + mpf(x.b)) / 2 for x in deltas)
-                return EnvelopeTrace(
-                    n=n,
-                    radius=radius,
-                    epsilon=epsilon,
-                    steps=steps,
-                    delta0=floats[0],
-                    deltas=floats,
-                    envelope_ok=not violations,
-                    violations=violations,
-                )
-            prec *= 2
-    raise precise.PrecisionError("envelope comparisons not resolved")
+    # The printed deltas are midpoints at the precision the loop stops at, so
+    # this schedule is part of the output.
+    return precise.certified(build, 2 * precise.DEFAULT_PREC, 4 * precise.MAX_PREC)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Certified real-number comparisons via mpmath interval arithmetic.
 
-Builders receive the interval context with its precision already set and
-return an interval value.  Comparisons escalate precision until the interval
-order is certain, so a True/False answer is never a rounding artifact.
-All interval work happens under one lock because mpmath contexts hold
-global precision state.
+Builders receive the interval context with its precision already set.  One
+loop, certified, escalates the precision until a builder's intervals decide,
+so a True/False answer is never a rounding artifact.  All interval work
+happens here, under one lock, because mpmath contexts hold global precision
+state.
 """
 
 from __future__ import annotations
@@ -37,29 +37,27 @@ def iv_entropy(ctx, r: int, n: int):
     return -(p * ctx.log(p) + q * ctx.log(q)) / ln2
 
 
-def certified_less(lhs: Callable, rhs: Callable, start_prec: int = DEFAULT_PREC) -> bool:
-    """Decide lhs < rhs with escalating precision; raises if unresolvable."""
+def certified(builder: Callable, start_prec: int = DEFAULT_PREC, max_prec: int = MAX_PREC):
+    """builder(iv) at start_prec, then at doubled precision up to max_prec, until
+    it returns something other than None, its sign of an undecided interval."""
     with _LOCK:
         prec = start_prec
-        while prec <= MAX_PREC:
+        while prec <= max_prec:
             iv.prec = prec
-            verdict = lhs(iv) < rhs(iv)
-            if verdict is not None:
-                return verdict
+            result = builder(iv)
+            if result is not None:
+                return result
             prec *= 2
-    raise PrecisionError("comparison not resolved at maximum precision")
+    raise PrecisionError(f"not resolved at {max_prec} bits of precision")
+
+
+def certified_less(lhs: Callable, rhs: Callable, start_prec: int = DEFAULT_PREC) -> bool:
+    """Decide lhs < rhs with escalating precision; raises if unresolvable."""
+    return certified(lambda ctx: lhs(ctx) < rhs(ctx), start_prec)
 
 
 def certified_le(lhs: Callable, rhs: Callable, start_prec: int = DEFAULT_PREC) -> bool:
-    with _LOCK:
-        prec = start_prec
-        while prec <= MAX_PREC:
-            iv.prec = prec
-            verdict = lhs(iv) <= rhs(iv)
-            if verdict is not None:
-                return verdict
-            prec *= 2
-    raise PrecisionError("comparison not resolved at maximum precision")
+    return certified(lambda ctx: lhs(ctx) <= rhs(ctx), start_prec)
 
 
 def vanishes_at_power_of_two(coeffs: dict[int, int], exponent: Fraction) -> bool:
@@ -79,12 +77,21 @@ def vanishes_at_power_of_two(coeffs: dict[int, int], exponent: Fraction) -> bool
     return not any(folded.values())
 
 
+def endpoints(value) -> tuple[float, float]:
+    """The endpoints of an interval value, as floats."""
+    return float(mpf(value.a)), float(mpf(value.b))
+
+
+def midpoint(value) -> float:
+    """Float midpoint of an interval value, for display only."""
+    return float(mpf(value.a) + mpf(value.b)) / 2.0
+
+
 def eval_midpoint(builder: Callable, prec: int = DEFAULT_PREC) -> float:
     """Float midpoint of an interval expression, for display only."""
     with _LOCK:
         iv.prec = prec
-        value = builder(iv)
-        return float(mpf(value.a) + mpf(value.b)) / 2.0
+        return midpoint(builder(iv))
 
 
 def with_mp(builder: Callable, prec: int = DEFAULT_PREC):

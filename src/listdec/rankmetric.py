@@ -25,16 +25,15 @@ from .counting import rank_ball_size
 from .errors import InvalidParameterError, ResourceLimitError
 from .gf2 import MAX_MATRIX_BITS, BitMatrix, Rng, SpanBasis, rank_of_ints
 from .listsize import (
+    NAIVE_MAX_BITS,
     PROFILE_MAX_BITS,
     Certificate,
     ListProfile,
-    PotentialState,
     StepReport,
     certify_cosets,
     check_quotient_cap,
     coset_counts,
     coset_profile,
-    potential,
     potential_exponent,
     profile_from_table,
     scatter_table,
@@ -261,8 +260,8 @@ def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
     """Oracle twin: per-center recount by rank distance lookups."""
     params = code.params
     bits = params.universe_bits
-    if bits > 16:
-        raise ResourceLimitError("naive rank recount capped at mn <= 16")
+    if bits > NAIVE_MAX_BITS:
+        raise ResourceLimitError(f"naive rank recount capped at mn <= {NAIVE_MAX_BITS}")
     table = rank_table(params.m, params.n)
     centers = np.arange(1 << bits, dtype=np.int64)
     out = np.zeros(len(centers), dtype=np.int64)
@@ -290,12 +289,6 @@ def certify_rank(code: RankCode, radius: int, max_list: int) -> Certificate:
     return Certificate(
         decodable=ok, witness=witness, checked_count=1 << params.universe_bits, max_list=max_seen
     )
-
-
-def rank_potential(profile: ListProfile, epsilon: float) -> PotentialState:
-    """Identical machinery to the Hamming potential; the profile already
-    carries block_length = n so the exponent uses n rather than mn."""
-    return potential(profile, epsilon)
 
 
 def check_rank_potential_step(code: RankCode, epsilon: float, radius: int) -> StepReport:

@@ -8,7 +8,15 @@ import os
 import mpmath
 import pytest
 
-from listdec import BitVector, LinearCode, list_profile
+from listdec import (
+    BitVector,
+    LinearCode,
+    Rng,
+    certify,
+    constructors,
+    list_profile,
+    random_linear_code,
+)
 from listdec.cli import main
 
 
@@ -42,6 +50,61 @@ class TestExitCodes:
 
     def test_csv_format_rejected_without_csv_form(self):
         assert run_cli("volumes", "--n", "8", "--radius", "2", "--format", "csv") == 2
+
+
+class TestLibraryCaps:
+    """Exit 3 comes from the library's caps alone: whatever they admit runs."""
+
+    def test_profile_past_the_old_increment_guard(self, tmp_path):
+        # 2^20 codewords times Vol(26, 3) = 2952 is about 3.1e9 increments,
+        # but a linear code's profile reads the 2952-word ball alone.
+        out = tmp_path / "p.json"
+        assert run_cli(
+            "profile", "--n", "26", "--radius", "3", "--epsilon", "0.1", "--k", "20",
+            "--out", str(out),
+        ) == 0
+        profile = list_profile(random_linear_code(26, 20, Rng(0, 0)), 3)
+        result = json.loads(out.read_text())["result"]
+        assert result["counts"] == {str(ell): c for ell, c in profile.counts}
+
+    def test_certify_past_the_old_increment_guard(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run_cli(
+            "certify", "--n", "26", "--radius", "3", "--max-list", "50", "--k", "20",
+            "--out", str(out),
+        ) == 1
+        cert = certify(random_linear_code(26, 20, Rng(0, 0)), 3, 50)
+        result = json.loads(out.read_text())["result"]
+        assert not cert.decodable
+        assert result["witness"] == cert.witness.to_string()
+        assert result["max_list"] == cert.max_list
+
+    @pytest.mark.parametrize("sub,extra", [
+        ("profile", ("--epsilon", "0.1")),
+        ("certify", ("--max-list", "3")),
+    ])
+    def test_uniform_table_over_the_increment_cap_draws_nothing(self, sub, extra, monkeypatch):
+        # 1024 messages times Vol(26, 13) is about 3.4e10 increments.
+        def fail(*args, **kwargs):
+            raise AssertionError("words drawn before the caps were checked")
+
+        monkeypatch.setattr(constructors, "uniform_random_code", fail)
+        assert run_cli(
+            sub, "--family", "uniform", "--n", "26", "--radius", "13", "--messages", "1024",
+            *extra,
+        ) == 3
+
+    def test_linear_construct_at_28(self):
+        assert run_cli("construct", "--kind", "linear", "--n", "28", "--k", "3") == 0
+
+    def test_guided_at_28_hits_the_profile_cap(self):
+        assert run_cli(
+            "construct", "--kind", "guided", "--n", "28", "--k", "2", "--radius", "1",
+            "--epsilon", "0.5",
+        ) == 3
+
+    def test_vector_length_past_30_is_invalid(self):
+        assert run_cli("profile", "--n", "31", "--radius", "1", "--epsilon", "0.5", "--k", "1") == 2
 
 
 class TestConfigEcho:

@@ -43,6 +43,7 @@ from listdec.listsize import (
     naive_table,
     profile_from_table,
     quotient_index,
+    recount_center,
     scatter_table,
 )
 from step_oracle import (
@@ -262,6 +263,17 @@ class TestCertify:
             table = list_size_table(code, 2)
             above = np.nonzero(table > 3)[0]
             assert cert.witness.bits == int(above.min())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_recount_matches_a_plain_loop(self, data):
+        n = data.draw(st.integers(1, 30))
+        word = st.integers(0, (1 << n) - 1)
+        words = data.draw(st.lists(word, max_size=64))
+        center = data.draw(word)
+        radius = data.draw(st.integers(0, n))
+        expected = sum(1 for w in words if bin(w ^ center).count("1") <= radius)
+        assert recount_center(np.array(words, dtype=np.int64), center, radius) == expected
 
 
 class TestTailStats:

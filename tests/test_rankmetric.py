@@ -21,12 +21,12 @@ from listdec import (
     check_rank_ball_bounds,
     check_rank_potential_step,
     enumerate_rank_ball,
+    potential,
     random_linear_rank_code,
     rank_ball_size,
     rank_distance,
     rank_list_profile,
     rank_list_profile_naive,
-    rank_potential,
     tail_stats,
 )
 from listdec import listsize, rankmetric
@@ -361,7 +361,7 @@ class TestRankPotential:
     def test_zero_code_closed_form(self):
         # exponent eps*n/(1+eps) uses the matrix width n = 3, not mn = 12
         prof = rank_list_profile(zero_code(4, 3, 1), 1)
-        state = rank_potential(prof, 1.0)
+        state = potential(prof, 1.0)
         expected = 1 + (2**1.5 - 1) * rank_ball_size(2, 4, 3, 1) / 2**12
         assert state.value_float == pytest.approx(expected, rel=1e-12)
 
