@@ -7,13 +7,14 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import precise
 from .counting import hamming_volume
 from .errors import ConstructionError, InvalidParameterError
-from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
+from .gf2 import MAX_N, BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
     POTENTIAL_PREC,
     LinearCode,
@@ -37,28 +38,50 @@ RECHECK_MARGIN = 1e-12
 BALL_CHUNK_PAIRS = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeTable:
-    """Message-indexed multiset of codewords (duplicates allowed)."""
+    """Message-indexed multiset of codewords (duplicates allowed), held as one
+    read-only int64 array: array[i] is the packed word of message i."""
 
     n: int
-    words: tuple[BitVector, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        for w in self.words:
-            if w.n != self.n:
-                raise InvalidParameterError("codeword length mismatch")
+        if not 1 <= self.n <= MAX_N:
+            raise InvalidParameterError(f"vector length must be in [1, {MAX_N}], got {self.n}")
+        words = np.asarray(self.array)
+        if words.ndim != 1 or (words.size and words.dtype.kind not in "iu"):
+            raise InvalidParameterError("codewords must be a flat sequence of integers")
+        if words.size and not (words.min() >= 0 and words.max() < (1 << self.n)):
+            raise InvalidParameterError(f"codeword out of range for length {self.n}")
+        words = words.astype(np.int64)  # a private copy, so freezing it is safe
+        words.flags.writeable = False
+        object.__setattr__(self, "array", words)
+
+    def __eq__(self, other):
+        if not isinstance(other, CodeTable):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.n, self.array.tobytes()))
+
+    @cached_property
+    def words(self) -> tuple[BitVector, ...]:
+        """The codewords as BitVectors, for the CLI and witness boundary."""
+        return tuple(BitVector(self.n, w) for w in self.array.tolist())
 
     @property
     def num_messages(self) -> int:
-        return len(self.words)
+        return len(self.array)
 
     @property
     def rate(self) -> float:
-        return math.log2(len(self.words)) / self.n if self.words else float("-inf")
+        return math.log2(self.num_messages) / self.n if self.num_messages else float("-inf")
 
     def codeword_array(self) -> np.ndarray:
-        return np.array([w.bits for w in self.words], dtype=np.int64)
+        """The stored read-only array itself, not a copy."""
+        return self.array
 
 
 def random_linear_code(n: int, k: int, rng: Rng) -> LinearCode:
@@ -73,8 +96,7 @@ def uniform_random_code(n: int, num_messages: int, rng: Rng) -> CodeTable:
         raise InvalidParameterError(
             f"message count must be in [1, 2^{n}], got {num_messages}"
         )
-    words = tuple(BitVector(n, int(w)) for w in rng.bit_array(n, num_messages))
-    return CodeTable(n, words)
+    return CodeTable(n, rng.bit_array(n, num_messages))
 
 
 @dataclass(frozen=True)
@@ -365,9 +387,8 @@ def moser_tardos_construct(
         if not heads:
             break
         if rounds >= max_rounds:
-            partial = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
             raise ConstructionError(
-                f"no decodable table after {max_rounds} rounds", partial=partial
+                f"no decodable table after {max_rounds} rounds", partial=CodeTable(n, words)
             )
         witness = min(heads)
         inside = np.nonzero(popcount_array(words ^ np.int64(witness)) <= radius)[0]
@@ -394,5 +415,4 @@ def moser_tardos_construct(
             )
         )
         rounds += 1
-    code = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
-    return MoserTardosResult(code=code, rounds=rounds, events=tuple(events))
+    return MoserTardosResult(code=CodeTable(n, words), rounds=rounds, events=tuple(events))

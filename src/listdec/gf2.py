@@ -19,14 +19,10 @@ from .errors import InvalidParameterError
 MAX_N = 30
 MAX_MATRIX_BITS = 30
 
-# 16-bit popcount table; vectors here never exceed 30 bits.
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
 
 def popcount_array(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount for arrays of packed words (< 2^32)."""
-    v = values.astype(np.int64, copy=False)
-    return (_POP16[v & 0xFFFF] + _POP16[(v >> 16) & 0xFFFF]).astype(np.int64)
+    """Per-element popcount of nonnegative packed words (uint8 counts)."""
+    return np.bitwise_count(values)
 
 
 @dataclass(frozen=True)

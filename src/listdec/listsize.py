@@ -521,7 +521,11 @@ def step_check_cosets(
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
     t_excess = state.excess
-    if t_excess == 0:
+    # Both decisions read the POTENTIAL_PREC value S, not the rounded excess.
+    # S = 1 there only when T is below its resolution (T > 0 for every code,
+    # whose ball holds 0), which is reported as degenerate.  T < 1 is S < 2,
+    # decided in intervals only within the margin.
+    if state.value == 1:
         return StepReport(
             hypothesis_met=True,
             degenerate=True,
@@ -530,7 +534,13 @@ def step_check_cosets(
             markov_bound=0.0,
             holds=True,
         )
-    if not t_excess < 1:
+    if abs(state.value - 2) > 2 * STEP_RECHECK_MARGIN:
+        hypothesis_met = state.value < 2
+    else:
+        hypothesis_met = precise.certified_less(
+            lambda ctx: iv_excess(ctx, profile, epsilon), lambda ctx: ctx.mpf(1)
+        )
+    if not hypothesis_met:
         return StepReport(
             hypothesis_met=False,
             degenerate=False,
@@ -651,7 +661,7 @@ def max_envelope_steps(n: int, radius: int, epsilon: float) -> int:
 
     def build(ctx):
         value = n * (1 - precise.iv_entropy(ctx, radius, n) - ctx.mpf(epsilon))
-        lo, hi = (math.floor(x) for x in precise.endpoints(value))
+        lo, hi = precise.floor_endpoints(value)
         return max(0, lo) if lo == hi else None
 
     return precise.certified(build)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import to_int
 
 from .errors import PrecisionError
 
@@ -77,9 +78,11 @@ def vanishes_at_power_of_two(coeffs: dict[int, int], exponent: Fraction) -> bool
     return not any(folded.values())
 
 
-def endpoints(value) -> tuple[float, float]:
-    """The endpoints of an interval value, as floats."""
-    return float(mpf(value.a)), float(mpf(value.b))
+def floor_endpoints(value) -> tuple[int, int]:
+    """The floors of an interval value's endpoints, taken exactly on the
+    binary endpoints (a float conversion first could round up to an integer)."""
+    lo, hi = value._mpi_
+    return to_int(lo, "f"), to_int(hi, "f")
 
 
 def midpoint(value) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,7 @@ from listdec import (
     Rng,
     certify,
     hamming_volume,
+    list_profile,
     lll_condition,
     moser_tardos_construct,
     potential_guided_code,
@@ -83,6 +85,96 @@ class TestUniformRandom:
     def test_range_validation(self):
         with pytest.raises(InvalidParameterError):
             uniform_random_code(4, 17, Rng(1, 0))
+
+
+@dataclass(frozen=True)
+class TupleCodeTable:
+    """Oracle twin of CodeTable: the words as a tuple of BitVectors, as the
+    table was held before it became one array."""
+
+    n: int
+    words: tuple[BitVector, ...]
+
+    @property
+    def num_messages(self) -> int:
+        return len(self.words)
+
+    @property
+    def rate(self) -> float:
+        return math.log2(len(self.words)) / self.n if self.words else float("-inf")
+
+    def codeword_array(self) -> np.ndarray:
+        return np.array([w.bits for w in self.words], dtype=np.int64)
+
+
+def word_lists(n):
+    return st.lists(st.integers(0, (1 << n) - 1), max_size=40)
+
+
+class TestCodeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), word_lists(n), word_lists(n))),
+           st.data())
+    def test_matches_tuple_semantics(self, drawn, data):
+        n, ints, other = drawn
+        table = CodeTable(n, ints)
+        twin = TupleCodeTable(n, tuple(BitVector(n, w) for w in ints))
+        assert table.words == twin.words
+        assert table.num_messages == twin.num_messages
+        assert table.rate == twin.rate
+        other_twin = TupleCodeTable(n, tuple(BitVector(n, w) for w in other))
+        assert (table == CodeTable(n, other)) == (twin == other_twin)
+        assert table == CodeTable(n, np.array(ints, dtype=np.int64))
+        assert hash(table) == hash(CodeTable(n, tuple(ints)))
+        radius = data.draw(st.integers(0, n))
+        max_list = data.draw(st.integers(1, 4))
+        assert list_profile(table, radius) == list_profile(twin, radius)
+        assert certify(table, radius, max_list) == certify(twin, radius, max_list)
+
+    def test_lengths_differ_so_tables_differ(self):
+        assert CodeTable(4, (1, 2)) != CodeTable(5, (1, 2))
+        assert CodeTable(4, ()) == CodeTable(4, [])
+
+    def test_array_is_read_only(self):
+        table = CodeTable(6, (3, 5, 7))
+        with pytest.raises(ValueError):
+            table.array[0] = 1
+        with pytest.raises(ValueError):
+            table.codeword_array()[1] = 0
+        assert table.codeword_array() is table.array
+        assert list(table.array) == [3, 5, 7]
+
+    def test_caller_array_stays_writable(self):
+        words = np.array([1, 2], dtype=np.int64)
+        table = CodeTable(3, words)
+        words[0] = 4
+        assert list(table.array) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "n,words",
+        [(3, (8,)), (3, (-1,)), (0, ()), (31, ()), (4, (1.5,)), (4, [[1, 2]]), (4, (1 << 70,))],
+    )
+    def test_invalid_words_or_length(self, n, words):
+        with pytest.raises(InvalidParameterError):
+            CodeTable(n, words)
+
+    def test_no_bitvector_per_message(self, monkeypatch):
+        built = []
+        check = BitVector.__post_init__
+
+        def counting(self):
+            built.append(self.bits)
+            check(self)
+
+        monkeypatch.setattr(BitVector, "__post_init__", counting)
+        res = moser_tardos_construct(18, 1, 4000, 3, Rng(7, 0))
+        cert = certify(res.code, 1, 3)
+        assert res.code.num_messages == 4000
+        assert len(built) <= (0 if cert.witness is None else 1)
+        # The boundary view builds them all, once.
+        before = len(built)
+        assert res.code.words is res.code.words
+        assert len(built) == before + 4000
 
 
 class TestGuidedBuilder:
@@ -347,9 +439,8 @@ def rebuild_moser_tardos(n, radius, num_messages, max_list, rng, max_rounds=None
         if ok:
             break
         if rounds >= max_rounds:
-            partial = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
             raise ConstructionError(
-                f"no decodable table after {max_rounds} rounds", partial=partial
+                f"no decodable table after {max_rounds} rounds", partial=CodeTable(n, words)
             )
         inside = np.nonzero(popcount_array(words ^ np.int64(witness)) <= radius)[0]
         old = tuple(int(words[i]) for i in inside)
@@ -365,8 +456,7 @@ def rebuild_moser_tardos(n, radius, num_messages, max_list, rng, max_rounds=None
             )
         )
         rounds += 1
-    code = CodeTable(n, tuple(BitVector(n, int(w)) for w in words))
-    return MoserTardosResult(code=code, rounds=rounds, events=tuple(events))
+    return MoserTardosResult(code=CodeTable(n, words), rounds=rounds, events=tuple(events))
 
 
 def mt_outcome(construct, *args, **kwargs):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from listdec import (
@@ -80,6 +82,17 @@ class TestRankOfSpan:
             vecs = [random_vector(6, rng) for _ in range(9)]
             r = rank_of_span(vecs)
             assert 0 <= r <= 6
+
+
+class TestPopcount:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 62) - 1), min_size=1, max_size=50))
+    def test_matches_int_bit_count(self, words):
+        counts = popcount_array(np.array(words, dtype=np.int64))
+        assert counts.tolist() == [w.bit_count() for w in words]
+
+    def test_high_bits_counted(self):
+        assert popcount_array(np.array([(1 << 62) - 1, 1 << 40], dtype=np.int64)).tolist() == [62, 1]
 
 
 class TestBallEnumeration:

@@ -138,7 +138,7 @@ class TestNaiveOracle:
 
     def test_collision_multiplicity(self):
         # Two messages encoding to the same word both count.
-        table = CodeTable(3, (bv("101"), bv("101")))
+        table = CodeTable(3, (0b101, 0b101))
         prof = list_profile(table, 0)
         assert dict(prof.counts) == {0: 7, 2: 1}
         assert list_profile_naive(table, 0) == prof
@@ -550,6 +550,16 @@ class TestCosetStepEngine:
         assert report.hypothesis_met
         assert report.probability == 1 - Fraction(code.size, 1 << n)
 
+    @pytest.mark.parametrize(
+        "n,gens,eps", [(8, (0b10110001,), 0.3), (6, (), 0.9), (4, (1, 2, 4, 8), 1.0)]
+    )
+    def test_hypothesis_decided_alike_in_intervals(self, n, gens, eps, monkeypatch):
+        # With an infinite margin T < 1 is always decided in intervals.
+        code = code_from_ints(n, gens)
+        prefiltered = check_potential_step(code, eps, 1)
+        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        assert check_potential_step(code, eps, 1) == prefiltered
+
     def test_degenerate_at_tiny_epsilon(self):
         code = code_from_ints(6, (0b100101,))
         report = check_potential_step(code, 1e-300, 2)
@@ -590,6 +600,11 @@ class TestEnvelope:
 
     def test_step_count(self):
         assert max_envelope_steps(20, 2, 0.2) == 6
+
+    def test_step_count_just_below_an_integer(self):
+        # n (1 - H(0.1) - eps) = 10 - 2.8e-17 here, which rounds to 10.0 as a
+        # double; the floor is taken on the interval endpoints themselves.
+        assert max_envelope_steps(20, 2, 0.03100440641071878) == 9
 
     def test_desk_scale_violation_exists(self):
         # Outside the finite-n hypothesis (2^7 delta_0 ~ 0.82 > 1/4) the
