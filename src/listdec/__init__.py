@@ -73,7 +73,6 @@ from .rankmetric import (
     enumerate_rank_ball,
     random_linear_rank_code,
     rank_distance,
-    rank_list_profile,
     rank_list_profile_naive,
 )
 from .secondmoment import (

@@ -268,7 +268,7 @@ def cmd_rank(params: dict, master_seed, trials):
     rank_params = rankmetric.RankParams(m, n, radius)
     code = rankmetric.random_linear_rank_code(rank_params, params["k"], rng)
     if action == "profile":
-        profile = rankmetric.rank_list_profile(code, radius)
+        profile = listsize.list_profile(code, radius)
         result = {
             "m": m,
             "n": n,
@@ -285,7 +285,7 @@ def cmd_rank(params: dict, master_seed, trials):
         return result, EXIT_OK, None
     if action == "certify":
         need(params, "max_list")
-        cert = rankmetric.certify_rank(code, radius, params["max_list"])
+        cert = listsize.certify(code, radius, params["max_list"])
         result = {
             "m": m,
             "n": n,

@@ -17,6 +17,7 @@ from .errors import ConstructionError, InvalidParameterError
 from .gf2 import MAX_N, BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
     POTENTIAL_PREC,
+    HammingMetric,
     LinearCode,
     check_scatter_caps,
     coset_counts,
@@ -39,7 +40,7 @@ BALL_CHUNK_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
-class CodeTable:
+class CodeTable(HammingMetric):
     """Message-indexed multiset of codewords (duplicates allowed), held as one
     read-only int64 array: array[i] is the packed word of message i."""
 

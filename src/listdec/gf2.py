@@ -14,10 +14,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .counting import hamming_volume
+from .errors import InvalidParameterError, ResourceLimitError
 
 MAX_N = 30
 MAX_MATRIX_BITS = 30
+# Most words a ball enumeration lists as BitVectors or BitMatrices.
+ENUM_MAX_WORDS = 1 << 20
 
 
 def popcount_array(values: np.ndarray) -> np.ndarray:
@@ -214,7 +217,14 @@ def ball_masks(n: int, radius: int) -> np.ndarray:
     return ball
 
 
+def check_enumeration_cap(size: int) -> None:
+    """Raise ResourceLimitError before a ball of this many words is listed."""
+    if size > ENUM_MAX_WORDS:
+        raise ResourceLimitError(f"enumeration capped at {ENUM_MAX_WORDS} words, asked for {size}")
+
+
 def enumerate_ball(center: BitVector, radius: int) -> list[BitVector]:
+    check_enumeration_cap(hamming_volume(center.n, radius))
     masks = ball_masks(center.n, radius)
     return [BitVector(center.n, center.bits ^ int(e)) for e in masks]
 

@@ -1,16 +1,19 @@
 """Exact list-size profiles, certification, tail statistics and potentials.
 
-The central object is the list size L(x) = |B(x, r) ∩ C| at every center x.
-Two engines compute it:
+The central object is the list size L(x) = |B(x, r) ∩ C| at every center x
+of the code's 2^n words (n = code.n).  The metric belongs to the code: its
+ball(radius), the potential's block_length, weight_array (the weights of
+packed words, for the witness recount) and witness(word).  HammingMetric
+supplies them for LinearCode and code tables, rankmetric.RankCode for rank
+codes, so every entry point below serves both metrics.  Two engines compute L:
 
-- the coset engine (coset_counts) for GF(2)-linear codes, Hamming or rank:
+- the coset engine (coset_counts) for GF(2)-linear codes, those with a basis:
   L is constant on the cosets of C, so reducing the |B| ball words modulo C
-  gives every list size without a 2^n object.  list_profile and certify of a
-  LinearCode, the guided constructor, verify_trace, the linear family of the
-  separation experiment, and the rank profile and certificate use it.  The
-  potential step checks, Hamming and rank, use it too: the weight row of a
-  candidate b depends only on the coset of b, and coset_pair_weights builds
-  all 2^(n-k) rows exactly from pairs of cosets, at the cost of the ball;
+  gives every list size without a 2^n object.  list_profile, certify and
+  check_potential_step of a linear code, the guided constructor, verify_trace
+  and the linear family of the separation experiment use it.  In the step
+  check the weight row of a candidate b depends only on the coset of b, and
+  coset_pair_weights builds all 2^(n-k) rows exactly from pairs of cosets;
 - the 2^n scatter table (scatter_table), which scatters each codeword's ball
   into one counter per center.  It serves code tables (certify, list_profile,
   the Moser-Tardos rounds, the uniform family of the separation experiment),
@@ -65,8 +68,25 @@ class DecodingParams:
         return self.radius / self.n
 
 
+class HammingMetric:
+    """The Hamming metric of a code of length n: its ball, the potential's
+    block length n, popcount weights and BitVector witnesses."""
+
+    @property
+    def block_length(self) -> int:
+        return self.n
+
+    def ball(self, radius: int) -> np.ndarray:
+        return hamming_ball(self.n, radius)
+
+    weight_array = staticmethod(popcount_array)
+
+    def witness(self, word: int) -> BitVector:
+        return BitVector(self.n, word)
+
+
 @dataclass(frozen=True)
-class LinearCode:
+class LinearCode(HammingMetric):
     """GF(2) span of the drawn generators (which may be dependent)."""
 
     n: int
@@ -270,31 +290,32 @@ def hamming_ball(n: int, radius: int) -> np.ndarray:
 
 
 def list_size_table(code, radius: int) -> np.ndarray:
-    """L[x] for every center x of F_2^n, via codeword-ball scatter."""
-    ball = hamming_ball(code.n, radius)
-    return scatter_table(code.codeword_array(), ball, code.n)
+    """L[x] for every center x of the code's universe, via codeword-ball scatter."""
+    return scatter_table(code.codeword_array(), code.ball(radius), code.n)
 
 
 def list_profile(code, radius: int) -> ListProfile:
     """Linear codes go through the coset engine, code tables through a
     2^n scatter table."""
-    if isinstance(code, LinearCode):
-        _, mult = coset_counts(code.basis, hamming_ball(code.n, radius))
-        return coset_profile(mult, code.effective_dim, code.n, code.n, radius)
-    return profile_from_table(list_size_table(code, radius), code.n, radius)
+    if hasattr(code, "basis"):
+        _, mult = coset_counts(code.basis, code.ball(radius))
+        return coset_profile(mult, code.effective_dim, code.n, code.block_length, radius)
+    return profile_from_table(list_size_table(code, radius), code.block_length, radius)
 
 
 def list_profile_naive(code, radius: int) -> ListProfile:
-    """Oracle twin of list_profile; identical output contract."""
+    """Oracle twin of list_profile for Hamming codes; identical output contract."""
     if not 0 <= radius <= code.n:
         raise InvalidParameterError(f"radius must be in [0, {code.n}], got {radius}")
     table = naive_table(code.codeword_array(), code.n, radius)
     return profile_from_table(table, code.n, radius)
 
 
-def recount_center(words: np.ndarray, center: int, radius: int) -> int:
-    """Independent recount of one center's list, by distances to the words."""
-    return int(np.count_nonzero(popcount_array(words ^ np.int64(center)) <= radius))
+def recount_center(code, center: int, radius: int) -> int:
+    """Independent recount of one center's list, by the code's distance from
+    the center to every codeword."""
+    diffs = code.codeword_array() ^ np.int64(center)
+    return int(np.count_nonzero(code.weight_array(diffs) <= radius))
 
 
 def certify_table(table: np.ndarray, max_list: int) -> tuple[bool, int | None, int]:
@@ -310,8 +331,8 @@ def certify(code, radius: int, max_list: int) -> Certificate:
 
     Linear codes go through the coset engine, code tables through a 2^n
     scatter table; a witness is recounted from the codewords either way."""
-    if isinstance(code, LinearCode):
-        reps, mult = coset_counts(code.basis, hamming_ball(code.n, radius))
+    if hasattr(code, "basis"):
+        reps, mult = coset_counts(code.basis, code.ball(radius))
         ok, witness_int, max_seen = certify_cosets(reps, mult, max_list)
         listed = None if ok else int(mult[np.searchsorted(reps, witness_int)])
     else:
@@ -320,9 +341,9 @@ def certify(code, radius: int, max_list: int) -> Certificate:
         listed = None if ok else int(table[witness_int])
     witness = None
     if not ok:
-        if recount_center(code.codeword_array(), witness_int, radius) != listed:
+        if recount_center(code, witness_int, radius) != listed:
             raise AssertionError("witness recount disagrees with the list-size count")
-        witness = BitVector(code.n, witness_int)
+        witness = code.witness(witness_int)
     return Certificate(
         decodable=ok, witness=witness, checked_count=1 << code.n, max_list=max_seen
     )
@@ -440,16 +461,6 @@ class StepReport:
     holds: bool
 
 
-def check_quotient_cap(universe_bits: int, dim: int) -> None:
-    """Raise ResourceLimitError before a step check over more than
-    2^PAIR_CHECK_MAX_BITS coset classes builds anything."""
-    if universe_bits - dim > PAIR_CHECK_MAX_BITS:
-        raise ResourceLimitError(
-            f"step check capped at 2^{PAIR_CHECK_MAX_BITS} coset classes, "
-            f"asked for 2^{universe_bits - dim}"
-        )
-
-
 def quotient_index(basis: SpanBasis, reduced: np.ndarray, universe_bits: int) -> np.ndarray:
     """Each reduced word (0 at every pivot) packed down to its non-pivot bits:
     the index of its coset in [0, 2^(universe_bits - dim)), in the same order
@@ -504,20 +515,19 @@ def coset_pair_weights(table: np.ndarray, chunk_pairs: int = 1 << 24) -> np.ndar
     return rows
 
 
-def step_check_cosets(
-    basis: SpanBasis,
-    ball: np.ndarray,
-    universe_bits: int,
-    block_length: int,
-    epsilon: float,
-    radius: int,
-) -> StepReport:
-    """The one-step rule for span(basis) over the 2^(universe_bits - dim)
-    coset classes of the candidate b, whose weight rows coset_pair_weights
-    gives exactly; the potential exponent scales with block_length."""
+def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
+    """Over all candidates b, the exact probability that extending the linear
+    code by b pushes the potential beyond 1 + 2T + T^1.5, compared against
+    sqrt(T).  It runs over the 2^(n - dim) coset classes of b, whose weight
+    rows coset_pair_weights gives exactly; the potential exponent scales with
+    the code's block length."""
+    basis, universe_bits, block_length = code.basis, code.n, code.block_length
     dim = basis.dim
     quotient_bits = universe_bits - dim
-    reps, mult = coset_counts(basis, ball)
+    if quotient_bits > PAIR_CHECK_MAX_BITS:
+        cap = f"step check capped at 2^{PAIR_CHECK_MAX_BITS} coset classes"
+        raise ResourceLimitError(f"{cap}, asked for 2^{quotient_bits}")
+    reps, mult = coset_counts(basis, code.ball(radius))
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
     t_excess = state.excess
@@ -595,15 +605,6 @@ def step_check_cosets(
         probability=probability,
         markov_bound=markov,
         holds=holds,
-    )
-
-
-def check_potential_step(code: LinearCode, epsilon: float, radius: int) -> StepReport:
-    """Over all 2^n candidates b, the exact probability that extending by b
-    pushes the potential beyond 1 + 2T + T^1.5, compared against sqrt(T)."""
-    check_quotient_cap(code.n, code.effective_dim)
-    return step_check_cosets(
-        code.basis, hamming_ball(code.n, radius), code.n, code.n, epsilon, radius
     )
 
 

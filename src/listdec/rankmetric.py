@@ -1,14 +1,15 @@
-"""Rank-metric analogs: rank distance, rank-ball enumeration, random linear
-rank codes, profiles, certification and the potential over m x n matrices.
+"""Rank-metric analogs over m x n matrices: rank distance, rank balls,
+random linear rank codes, the naive profile oracle and the potential baseline.
 
-Matrices flatten to mn-bit words internally so the Hamming engines are reused
-verbatim; only the ball enumerator differs.  rank_ball_masks enumerates the
-ball directly, each rank-s matrix once as X R (R the reduced row echelon
-basis of its row space, X of full column rank), so rank_list_profile,
-certify_rank and check_rank_potential_step run the coset engines at the cost
-of the ball and build nothing of size 2^(mn).  The row-space automaton and
-its 2^(mn) rank_table serve only rank_list_profile_naive and the tests.
-The potential exponent scales with n, not mn.
+Matrices flatten to mn-bit words.  A RankCode supplies its metric to
+listsize's list_profile, certify, check_potential_step and list_size_table:
+the ball (rank_ball_masks), the block length n of the potential exponent
+(not mn), GF(2) ranks of packed words for the witness recount (rank_array)
+and BitMatrix witnesses; certify_rank and check_rank_potential_step forward
+there.  rank_ball_masks lists each rank-s matrix once as X R (R the reduced
+row echelon basis of its row space, X of full column rank), so nothing of
+size 2^(mn) is built.  The row-space automaton and its 2^(mn) rank_table
+serve only the oracle rank_list_profile_naive and the tests.
 """
 
 from __future__ import annotations
@@ -23,25 +24,20 @@ import numpy as np
 from . import precise
 from .counting import rank_ball_size
 from .errors import InvalidParameterError, ResourceLimitError
-from .gf2 import MAX_MATRIX_BITS, BitMatrix, Rng, SpanBasis, rank_of_ints
+from .gf2 import MAX_MATRIX_BITS, BitMatrix, Rng, SpanBasis, check_enumeration_cap, rank_of_ints
 from .listsize import (
     NAIVE_MAX_BITS,
     PROFILE_MAX_BITS,
     Certificate,
     ListProfile,
     StepReport,
-    certify_cosets,
-    check_quotient_cap,
-    coset_counts,
-    coset_profile,
+    certify,
+    check_potential_step,
     potential_exponent,
     profile_from_table,
-    scatter_table,
-    step_check_cosets,
 )
 
 RANK_UNIVERSE_MAX_BITS = 24
-RANK_ENUM_MAX_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,20 @@ class RankCode:
         return self.params.universe_bits
 
     @property
+    def block_length(self) -> int:
+        # The potential exponent scales with the number of columns, not mn.
+        return self.params.n
+
+    def ball(self, radius: int) -> np.ndarray:
+        return rank_ball_masks(self.params.m, self.params.n, radius)
+
+    def weight_array(self, words: np.ndarray) -> np.ndarray:
+        return rank_array(words, self.params.m, self.params.n)
+
+    def witness(self, word: int) -> BitMatrix:
+        return BitMatrix.from_flat(self.params.m, self.params.n, word)
+
+    @property
     def effective_dim(self) -> int:
         return self.basis.dim
 
@@ -116,6 +126,19 @@ def rank_distance(x: BitMatrix, y: BitMatrix) -> int:
     if (x.m, x.n) != (y.m, y.n):
         raise InvalidParameterError("matrix shape mismatch")
     return rank_of_ints([a ^ b for a, b in zip(x.rows, y.rows)])
+
+
+def rank_array(words: np.ndarray, m: int, n: int) -> np.ndarray:
+    """GF(2) rank of each flattened m x n matrix in words, all eliminated at
+    once: per column, a row holding the column's bit is added to every row
+    holding it, itself included, so it leaves and the rank counts it."""
+    rows = (np.asarray(words, dtype=np.int64)[:, None] >> (n * np.arange(m))) & ((1 << n) - 1)
+    ranks = np.zeros(len(rows), dtype=np.int64)
+    for j in range(n):
+        bit = (rows >> j) & 1
+        rows ^= bit * rows[np.arange(len(rows)), np.argmax(bit, axis=1)][:, None]
+        ranks += bit.any(axis=1)
+    return ranks
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +251,7 @@ def rank_ball_masks(m: int, n: int, radius: int) -> np.ndarray:
 
 
 def enumerate_rank_ball(m: int, n: int, radius: int) -> list[BitMatrix]:
-    if m * n > RANK_ENUM_MAX_BITS:
-        raise ResourceLimitError(f"rank ball enumeration capped at mn <= {RANK_ENUM_MAX_BITS}")
+    check_enumeration_cap(rank_ball_size(2, m, n, radius))
     return [BitMatrix.from_flat(m, n, int(v)) for v in rank_ball_masks(m, n, radius)]
 
 
@@ -241,19 +263,6 @@ def random_linear_rank_code(params: RankParams, k: int, rng: Rng) -> RankCode:
         for _ in range(k)
     )
     return RankCode(params, gens)
-
-
-def rank_list_profile(code: RankCode, radius: int) -> ListProfile:
-    """The coset engine over the rank ball; no 2^(mn) table is built."""
-    params = code.params
-    _, mult = coset_counts(code.basis, rank_ball_masks(params.m, params.n, radius))
-    return coset_profile(mult, code.effective_dim, params.universe_bits, params.n, radius)
-
-
-def rank_list_size_table(code: RankCode, radius: int) -> np.ndarray:
-    params = code.params
-    ball = rank_ball_masks(params.m, params.n, radius)
-    return scatter_table(code.codeword_array(), ball, params.universe_bits)
 
 
 def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
@@ -271,33 +280,11 @@ def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
 
 
 def certify_rank(code: RankCode, radius: int, max_list: int) -> Certificate:
-    """The coset engine over the rank ball; a witness is recounted by rank
-    distance to every codeword."""
-    params = code.params
-    reps, mult = coset_counts(code.basis, rank_ball_masks(params.m, params.n, radius))
-    ok, witness_int, max_seen = certify_cosets(reps, mult, max_list)
-    witness = None
-    if not ok:
-        witness = BitMatrix.from_flat(params.m, params.n, witness_int)
-        recount = sum(
-            1
-            for w in code.codeword_array()
-            if rank_distance(witness, BitMatrix.from_flat(params.m, params.n, int(w))) <= radius
-        )
-        if recount != int(mult[np.searchsorted(reps, witness_int)]):
-            raise AssertionError("rank witness recount disagrees with the coset count")
-    return Certificate(
-        decodable=ok, witness=witness, checked_count=1 << params.universe_bits, max_list=max_seen
-    )
+    return certify(code, radius, max_list)
 
 
 def check_rank_potential_step(code: RankCode, epsilon: float, radius: int) -> StepReport:
-    """The one-step rule over the cosets of the rank code; the potential
-    exponent scales with n."""
-    params = code.params
-    check_quotient_cap(params.universe_bits, code.effective_dim)
-    ball = rank_ball_masks(params.m, params.n, radius)
-    return step_check_cosets(code.basis, ball, params.universe_bits, params.n, epsilon, radius)
+    return check_potential_step(code, epsilon, radius)
 
 
 @dataclass(frozen=True)

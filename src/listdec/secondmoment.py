@@ -22,7 +22,7 @@ from .counting import (
 from .constructors import random_linear_code, uniform_random_code
 from .errors import InvalidParameterError
 from .gf2 import Rng
-from .listsize import LinearCode, coset_counts, hamming_ball, list_size_table
+from .listsize import coset_counts, list_size_table
 
 
 def ball_fraction(n: int, radius: int) -> Fraction:
@@ -249,8 +249,8 @@ class SeparationResult:
 def _max_list_and_witness(code, radius: int) -> tuple[int, str]:
     """The maximum list size and the least center that attains it: by the
     coset engine for a linear code, by a 2^n scatter table for a code table."""
-    if isinstance(code, LinearCode):
-        reps, mult = coset_counts(code.basis, hamming_ball(code.n, radius))
+    if hasattr(code, "basis"):
+        reps, mult = coset_counts(code.basis, code.ball(radius))
         top = int(mult.max())
         witness = int(reps[np.argmax(mult == top)])
     else:

@@ -1,9 +1,9 @@
-"""The dense step check: the oracle twin of listsize.step_check_cosets.
+"""The dense step check: the oracle twin of listsize.check_potential_step.
 
 It builds the 2^N list-size table, gets the weight row of every candidate b
-from XOR correlations (a float Walsh-Hadamard transform, rounded), and runs
-the same float prefilter, interval recheck and Markov comparison over all 2^N
-candidates.
+from XOR correlations (an int64 Walsh-Hadamard transform, exact by
+construction), and runs the same float prefilter, interval recheck and Markov
+comparison over all 2^N candidates.
 """
 
 from __future__ import annotations
@@ -25,12 +25,15 @@ from listdec.listsize import (
     potential_exponent,
     profile_from_table,
 )
-from listdec.rankmetric import rank_list_size_table
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform (float64, exact for our counts)."""
-    out = values.astype(np.float64).copy()
+    """Unnormalized Walsh-Hadamard transform in int64.
+
+    At N <= PAIR_CHECK_MAX_BITS = 16 an indicator's transform stays within
+    2^16 in magnitude, the product of two within 2^32, and the transform of
+    that product within 2^48, so no value overflows."""
+    out = values.astype(np.int64)
     size = out.size
     h = 1
     while h < size:
@@ -45,16 +48,15 @@ def fwht(values: np.ndarray) -> np.ndarray:
 def pair_sum_weights(table: np.ndarray) -> np.ndarray:
     """weights[b, s] = #{x : L(x) + L(x^b) = s}, exact via XOR correlations."""
     size = len(table)
+    if size > 1 << PAIR_CHECK_MAX_BITS:
+        raise ResourceLimitError(f"pair weights capped at 2^{PAIR_CHECK_MAX_BITS} centers")
     vmax = int(table.max())
-    transforms = []
-    for v in range(vmax + 1):
-        indicator = (table == v).astype(np.float64)
-        transforms.append(fwht(indicator))
+    transforms = [fwht(table == v) for v in range(vmax + 1)]
     weights = np.zeros((size, 2 * vmax + 1), dtype=np.int64)
     for u in range(vmax + 1):
         for v in range(u, vmax + 1):
-            corr = fwht(transforms[u] * transforms[v]) / size
-            counts = np.rint(corr).astype(np.int64)
+            counts, rest = np.divmod(fwht(transforms[u] * transforms[v]), size)
+            assert not rest.any(), "an XOR correlation is not a multiple of the table size"
             if u == v:
                 weights[:, u + v] += counts
             else:
@@ -158,12 +160,6 @@ def affordable(report: StepReport, basis, ball: np.ndarray, universe_bits: int) 
 
 
 def dense_potential_step(code, epsilon: float, radius: int) -> StepReport:
-    """check_potential_step by the dense oracle."""
+    """check_potential_step by the dense oracle, for Hamming and rank codes."""
     table = list_size_table(code, radius)
-    return step_check_from_table(table, code.n, code.codeword_array(), epsilon, radius)
-
-
-def dense_rank_potential_step(code, epsilon: float, radius: int) -> StepReport:
-    """check_rank_potential_step by the dense oracle."""
-    table = rank_list_size_table(code, radius)
-    return step_check_from_table(table, code.params.n, code.codeword_array(), epsilon, radius)
+    return step_check_from_table(table, code.block_length, code.codeword_array(), epsilon, radius)

@@ -482,6 +482,8 @@ README_DIGESTS = {
     "guided.json": "02efc4788d921987087ac801909743aabae9b00d5fe97fcd793d06d30eee2fa7",
     "lll.json": "ceb2278005d7427bd09b4e0f0939c90746bcb71d9ee8a4160e57fc5f367ae5cb",
     "rank.json": "d6c060cb00e049801e776d00febf911e2d88443fdaca6035fd194018f11c38b8",
+    "rankprofile.json": "bdb25f9e532500c0d3304981e652044bd75233692b94f6ce27c802d4fb7440c6",
+    "rankwitness.json": "c1ef3f08e96d692d7f47fa8311030526b36684dbd2d7af507174f8c0a4d72a53",
     "lbparams.json": "77b7060f6a92d81a7e094f0ce82b91092383e227c153520d1150de7319a82acb",
     "separation.csv": "288be769f35e2e2349c1fb23f406018c5c9a5e4b596d2aeca118b295ab52ea89",
     "trace.json": "140703f66dcd5d53eb622116321bce3b1c0b84baf238f77cc0f9da4c26f378aa",

@@ -18,9 +18,7 @@ from listdec import (
     RankParams,
     Rng,
     certify,
-    certify_rank,
     check_potential_step,
-    check_rank_potential_step,
     envelope_trace,
     list_profile,
     max_envelope_steps,
@@ -28,7 +26,6 @@ from listdec import (
     potential_guided_code,
     random_linear_code,
     random_linear_rank_code,
-    rank_list_profile,
 )
 from listdec.errors import ConstructionError
 
@@ -69,7 +66,7 @@ def potential_lines():
     for i in range(12):
         params = RankParams(4, 3 + i % 2, 1)
         code = random_linear_rank_code(params, 1 + i % 5, Rng(4343, i))
-        state = potential(rank_list_profile(code, 1), EPSILONS[i % len(EPSILONS)])
+        state = potential(list_profile(code, 1), EPSILONS[i % len(EPSILONS)])
         lines.append(repr((state.value.man_exp, state.excess.man_exp)))
     return lines
 
@@ -82,7 +79,7 @@ def step_lines():
     for i in range(12):
         params = RankParams(4, 3, 1)
         code = random_linear_rank_code(params, 2 + i % 6, Rng(4444, i))
-        lines.append(repr(check_rank_potential_step(code, 0.2 + 0.05 * (i % 7), 1)))
+        lines.append(repr(check_potential_step(code, 0.2 + 0.05 * (i % 7), 1)))
     return lines
 
 
@@ -92,7 +89,7 @@ def certificate_lines():
         lines.append(repr(certify(code, radius, 1 + i % 4)))
     for i in range(12):
         code = random_linear_rank_code(RankParams(4, 3, 1), 2 + i % 5, Rng(4545, i))
-        lines.append(repr(certify_rank(code, 1, 1 + i % 3)))
+        lines.append(repr(certify(code, 1, 1 + i % 3)))
     return lines
 
 

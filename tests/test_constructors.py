@@ -33,7 +33,13 @@ from listdec import (
 from listdec import LinearCode, PotentialTrace, constructors
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
-from listdec.listsize import certify_table, potential, profile_from_table, scatter_table
+from listdec.listsize import (
+    HammingMetric,
+    certify_table,
+    potential,
+    profile_from_table,
+    scatter_table,
+)
 
 
 class TestRandomLinear:
@@ -88,7 +94,7 @@ class TestUniformRandom:
 
 
 @dataclass(frozen=True)
-class TupleCodeTable:
+class TupleCodeTable(HammingMetric):
     """Oracle twin of CodeTable: the words as a tuple of BitVectors, as the
     table was held before it became one array."""
 

@@ -12,6 +12,7 @@ from listdec import (
     BitMatrix,
     BitVector,
     InvalidParameterError,
+    ResourceLimitError,
     Rng,
     enumerate_ball,
     hamming_distance,
@@ -19,7 +20,8 @@ from listdec import (
     rank_of_span,
 )
 from listdec.counting import hamming_volume
-from listdec.gf2 import ball_masks, popcount_array
+from listdec import gf2
+from listdec.gf2 import ENUM_MAX_WORDS, ball_masks, popcount_array
 
 
 def bv(s: str) -> BitVector:
@@ -141,6 +143,17 @@ class TestBallEnumeration:
             ball = {v.bits for v in enumerate_ball(x, r)}
             origin = {v.bits for v in enumerate_ball(BitVector.zero(6), r)}
             assert ball == {x.bits ^ e for e in origin}
+
+    def test_enumeration_cap(self, monkeypatch):
+        assert len(enumerate_ball(BitVector.zero(30), 3)) == hamming_volume(30, 3)
+
+        def unreachable(*args):
+            raise AssertionError("ball built before the cap")
+
+        monkeypatch.setattr(gf2, "ball_masks", unreachable)
+        assert hamming_volume(30, 6) <= ENUM_MAX_WORDS < hamming_volume(30, 7)
+        with pytest.raises(ResourceLimitError):
+            enumerate_ball(BitVector.zero(30), 7)
 
 
 class TestBitMatrix:

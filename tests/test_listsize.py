@@ -273,7 +273,8 @@ class TestCertify:
         center = data.draw(word)
         radius = data.draw(st.integers(0, n))
         expected = sum(1 for w in words if bin(w ^ center).count("1") <= radius)
-        assert recount_center(np.array(words, dtype=np.int64), center, radius) == expected
+        code = CodeTable(n, np.array(words, dtype=np.int64))
+        assert recount_center(code, center, radius) == expected
 
 
 class TestTailStats:

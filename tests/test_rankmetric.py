@@ -17,22 +17,27 @@ from listdec import (
     ResourceLimitError,
     Rng,
     baseline_potential_bound,
+    certify,
     certify_rank,
+    check_potential_step,
     check_rank_ball_bounds,
     check_rank_potential_step,
     enumerate_rank_ball,
+    list_profile,
+    list_size_table,
     potential,
     random_linear_rank_code,
     rank_ball_size,
     rank_distance,
-    rank_list_profile,
     rank_list_profile_naive,
     tail_stats,
 )
 from listdec import listsize, rankmetric
+from listdec.cli import main as cli_main
+from listdec.gf2 import rank_of_ints
 from listdec.listsize import certify_table, profile_from_table
-from listdec.rankmetric import rank_ball_masks, rank_list_size_table, rank_table
-from step_oracle import affordable, dense_rank_potential_step
+from listdec.rankmetric import rank_array, rank_ball_masks, rank_table
+from step_oracle import affordable, dense_potential_step
 
 
 def zero_code(m: int, n: int, radius: int) -> RankCode:
@@ -86,9 +91,16 @@ class TestRankBallEnumeration:
             masks = np.nonzero(rank_table(m, n) <= r)[0]
             assert len(masks) == rank_ball_size(2, m, n, r)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        assert len(enumerate_rank_ball(6, 4, 1)) == rank_ball_size(2, 6, 4, 1) == 946
+
+        def unreachable(*args):
+            raise AssertionError("ball built before the cap")
+
+        monkeypatch.setattr(rankmetric, "rank_ball_masks", unreachable)
+        assert rank_ball_size(2, 6, 4, 3) > 1 << 20
         with pytest.raises(ResourceLimitError):
-            enumerate_rank_ball(6, 4, 1)
+            enumerate_rank_ball(6, 4, 3)
 
 
 class TestRankTableOracle:
@@ -124,11 +136,11 @@ class TestRandomRankCode:
 
 class TestRankProfile:
     def test_zero_code_profile(self):
-        prof = rank_list_profile(zero_code(2, 2, 1), 1)
+        prof = list_profile(zero_code(2, 2, 1), 1)
         assert dict(prof.counts) == {0: 6, 1: 10}
 
     def test_full_code_profile(self):
-        prof = rank_list_profile(full_code(3, 2, 1), 1)
+        prof = list_profile(full_code(3, 2, 1), 1)
         ball = rank_ball_size(2, 3, 2, 1)
         assert dict(prof.counts) == {ball: 64}
 
@@ -141,13 +153,13 @@ class TestRankProfile:
             k = rng.integer(0, min(6, m * n) + 1)
             code = random_linear_rank_code(params, k, rng.substream(i))
             for r in range(n + 1):
-                assert rank_list_profile(code, r) == rank_list_profile_naive(code, r)
+                assert list_profile(code, r) == rank_list_profile_naive(code, r)
 
     def test_coset_constancy(self):
         rng = Rng(63, 0)
         for i in range(5):
             code = random_linear_rank_code(RankParams(4, 3, 1), 3, rng.substream(i))
-            table = rank_list_size_table(code, 1)
+            table = list_size_table(code, 1)
             idx = np.arange(1 << 12, dtype=np.int64)
             for c in code.codeword_array():
                 assert (table[idx ^ c] == table).all()
@@ -157,7 +169,7 @@ class TestRankProfile:
         for i in range(10):
             code = random_linear_rank_code(RankParams(4, 3, 1), 4, rng.substream(i))
             r = rng.integer(0, 4)
-            prof = rank_list_profile(code, r)
+            prof = list_profile(code, r)
             _, q1 = tail_stats(prof, 1)
             expected = Fraction(rank_ball_size(2, 4, 3, r) * (1 << code.effective_dim), 1 << 12)
             assert q1 == expected
@@ -165,18 +177,18 @@ class TestRankProfile:
 
 class TestCertifyRank:
     def test_zero_code_decodable(self):
-        assert certify_rank(zero_code(3, 3, 1), 1, 1).decodable
+        assert certify(zero_code(3, 3, 1), 1, 1).decodable
 
     def test_full_space_witness_zero(self):
         params = RankParams(3, 2, 1)
         ball = rank_ball_size(2, 3, 2, 1)
-        cert = certify_rank(full_code(3, 2, 1), 1, ball - 1)
+        cert = certify(full_code(3, 2, 1), 1, ball - 1)
         assert not cert.decodable
         assert cert.witness.to_flat() == 0
 
     def test_matches_naive_recount(self):
         code = random_linear_rank_code(RankParams(4, 3, 2), 3, Rng(65, 1))
-        cert = certify_rank(code, 1, 2)
+        cert = certify(code, 1, 2)
         naive = rank_list_profile_naive(code, 1)
         assert cert.decodable == (naive.max_ell <= 2)
         assert cert.max_list == naive.max_ell
@@ -218,8 +230,8 @@ class TestRankCosetEngine:
         naive = np.zeros(len(centers), dtype=np.int64)
         for c in code.codeword_array():
             naive += ranks[centers ^ c] <= radius
-        assert rank_list_profile(code, radius) == rank_list_profile_naive(code, radius)
-        assert rank_certificate_fields(certify_rank(code, radius, max_list)) == (
+        assert list_profile(code, radius) == rank_list_profile_naive(code, radius)
+        assert rank_certificate_fields(certify(code, radius, max_list)) == (
             rank_table_certificate(naive, max_list)
         )
 
@@ -228,28 +240,64 @@ class TestRankCosetEngine:
         for seed in range(2):
             code = random_linear_rank_code(RankParams(m, n, 1), k, Rng(67, seed))
             for radius in range(min(n, 2) + 1):
-                table = rank_list_size_table(code, radius)
-                assert rank_list_profile(code, radius) == profile_from_table(table, n, radius)
+                table = list_size_table(code, radius)
+                assert list_profile(code, radius) == profile_from_table(table, n, radius)
                 top = int(table.max())
                 for max_list in {max(1, top - 1), top}:
-                    assert rank_certificate_fields(certify_rank(code, radius, max_list)) == (
+                    assert rank_certificate_fields(certify(code, radius, max_list)) == (
                         rank_table_certificate(table, max_list)
                     )
 
 
 class TestRankBallCache:
-    def test_read_only_and_not_rescanned(self, monkeypatch):
+    def test_read_only_and_not_rescanned(self, monkeypatch, tmp_path):
         first = rank_ball_masks(4, 3, 1)
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 1
 
-        def untouchable(m, n):
-            raise AssertionError("rank_table rescanned")
+        def untouchable(*args):
+            raise AssertionError("the 2^(mn) rank table was built")
 
         monkeypatch.setattr(rankmetric, "rank_table", untouchable)
+        monkeypatch.setattr(rankmetric, "_row_space_automaton", untouchable)
         assert rank_ball_masks(4, 3, 1) is first
         assert len(first) == rank_ball_size(2, 4, 3, 1)
+        # Every production rank path, with the balls rebuilt under the patch.
+        rank_ball_masks.cache_clear()
+        code = random_linear_rank_code(RankParams(4, 3, 1), 4, Rng(5, 0))
+        assert list_profile(code, 1).max_ell == 3
+        cert = certify(code, 1, 2)
+        assert cert.witness == BitMatrix.from_string("000\n000\n001\n000")
+        assert certify_rank(code, 1, 2) == cert
+        step = check_potential_step(code, 0.5, 1)
+        assert check_rank_potential_step(code, 0.5, 1) == step
+        common = ["--m", "4", "--n", "3", "--radius", "1", "--seed", "5", "--out"]
+        profile_args = ["rank", "profile", "--k", "3", "--epsilon", "0.5", *common]
+        assert cli_main([*profile_args, str(tmp_path / "profile.json")]) == 0
+        certify_args = ["rank", "certify", "--k", "4", "--max-list", "2", *common]
+        assert cli_main([*certify_args, str(tmp_path / "witness.json")]) == 1
+        assert np.array_equal(rank_ball_masks(4, 3, 1), first)
+
+
+class TestRankArray:
+    SHAPES = [(1, 1), (2, 2), (3, 2), (4, 3), (4, 4), (6, 4), (5, 5), (10, 3), (30, 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SHAPES), st.data())
+    def test_matches_row_elimination(self, shape, data):
+        m, n = shape
+        words = data.draw(st.lists(st.integers(0, (1 << (m * n)) - 1), max_size=32))
+        expected = [rank_of_ints(BitMatrix.from_flat(m, n, w).rows) for w in words]
+        assert rank_array(np.array(words, dtype=np.int64), m, n).tolist() == expected
+
+    def test_witness_recount_is_by_rank_distance(self):
+        code = random_linear_rank_code(RankParams(4, 3, 1), 4, Rng(5, 0))
+        cert = certify(code, 1, 2)
+        words = [BitMatrix.from_flat(4, 3, int(w)) for w in code.codeword_array()]
+        listed = sum(rank_distance(cert.witness, w) <= 1 for w in words)
+        assert listed > 2
+        assert listsize.recount_center(code, cert.witness.to_flat(), 1) == listed
 
 
 class TestDirectRankBall:
@@ -296,8 +344,8 @@ def step_rank_codes(draw):
 
 
 class TestRankStepEngine:
-    """check_rank_potential_step against the dense oracle over all 2^(mn)
-    candidates."""
+    """check_potential_step on rank codes against the dense oracle over all
+    2^(mn) candidates."""
 
     @settings(max_examples=50, deadline=None)
     @given(step_rank_codes())
@@ -305,17 +353,17 @@ class TestRankStepEngine:
         code, radius, eps = drawn
         params = code.params
         ball = rank_ball_masks(params.m, params.n, radius)
-        report = check_rank_potential_step(code, eps, radius)
+        report = check_potential_step(code, eps, radius)
         assume(affordable(report, code.basis, ball, params.universe_bits))
-        assert report == dense_rank_potential_step(code, eps, radius)
+        assert report == dense_potential_step(code, eps, radius)
 
     def test_benchmark_shape_sweep(self):
         # 4 x 4 codes of dimension 4 at radius 1 and epsilon 0.5.
         exceeding = 0
         for i in range(6):
             code = random_linear_rank_code(RankParams(4, 4, 1), 4, Rng(68, i))
-            report = check_rank_potential_step(code, 0.5, 1)
-            assert report == dense_rank_potential_step(code, 0.5, 1)
+            report = check_potential_step(code, 0.5, 1)
+            assert report == dense_potential_step(code, 0.5, 1)
             exceeding += report.probability > 0
         assert exceeding >= 3
 
@@ -326,10 +374,10 @@ class TestRankStepEngine:
             m, n = [(4, 2), (3, 3), (5, 2)][i % 3]
             code = random_linear_rank_code(RankParams(m, n, 1), rng.integer(0, 4), rng.substream(i))
             eps = rng.uniform(0.3, 0.8)
-            cases.append((code, eps, dense_rank_potential_step(code, eps, 1)))
+            cases.append((code, eps, dense_potential_step(code, eps, 1)))
         monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
         for code, eps, oracle in cases:
-            assert check_rank_potential_step(code, eps, 1) == oracle
+            assert check_potential_step(code, eps, 1) == oracle
         assert sum(oracle.probability > 0 for _, _, oracle in cases) >= 6
 
     def test_oversized_quotient_raises_at_once(self, monkeypatch):
@@ -338,16 +386,16 @@ class TestRankStepEngine:
 
         monkeypatch.setattr(rankmetric, "rank_ball_masks", unreachable)
         with pytest.raises(ResourceLimitError):
-            check_rank_potential_step(zero_code(5, 4, 1), 0.5, 1)
+            check_potential_step(zero_code(5, 4, 1), 0.5, 1)
 
     @pytest.mark.parametrize("m,n,radius", [(16, 1, 1), (5, 3, 3), (8, 2, 2)])
     def test_ball_covering_the_space(self, m, n, radius):
         # Every coset has list size 1: no coset deviates from the most common
         # list size, so no pair is enumerated.
         code = zero_code(m, n, radius)
-        report = check_rank_potential_step(code, 0.2, radius)
+        report = check_potential_step(code, 0.2, radius)
         assert report.hypothesis_met
-        assert report == dense_rank_potential_step(code, 0.2, radius)
+        assert report == dense_potential_step(code, 0.2, radius)
 
 
 class TestRankBounds:
@@ -360,7 +408,7 @@ class TestRankBounds:
 class TestRankPotential:
     def test_zero_code_closed_form(self):
         # exponent eps*n/(1+eps) uses the matrix width n = 3, not mn = 12
-        prof = rank_list_profile(zero_code(4, 3, 1), 1)
+        prof = list_profile(zero_code(4, 3, 1), 1)
         state = potential(prof, 1.0)
         expected = 1 + (2**1.5 - 1) * rank_ball_size(2, 4, 3, 1) / 2**12
         assert state.value_float == pytest.approx(expected, rel=1e-12)
@@ -376,7 +424,7 @@ class TestRankPotential:
         for i in range(8):
             params = RankParams(4, 3, 1)
             code = random_linear_rank_code(params, rng.integer(0, 3), rng.substream(i))
-            report = check_rank_potential_step(code, rng.uniform(0.2, 0.8), 1)
+            report = check_potential_step(code, rng.uniform(0.2, 0.8), 1)
             if report.hypothesis_met and not report.degenerate:
                 checked += 1
                 assert report.holds
@@ -384,6 +432,6 @@ class TestRankPotential:
 
     def test_step_check_sixteen_bit_universe(self):
         code = random_linear_rank_code(RankParams(4, 4, 1), 2, Rng(66, 99))
-        report = check_rank_potential_step(code, 0.4, 1)
+        report = check_potential_step(code, 0.4, 1)
         assert report.hypothesis_met
         assert report.holds
