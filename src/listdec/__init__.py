@@ -58,7 +58,6 @@ from .listsize import (
     check_tail_bound,
     envelope_trace,
     list_profile,
-    list_profile_naive,
     list_size_table,
     max_envelope_steps,
     potential,
@@ -73,7 +72,6 @@ from .rankmetric import (
     enumerate_rank_ball,
     random_linear_rank_code,
     rank_distance,
-    rank_list_profile_naive,
 )
 from .secondmoment import (
     ball_fraction,

@@ -177,7 +177,11 @@ def potential_guided_code(
                 if basis.dim == n:
                     fail(f"step {step}: span is already the full space")
                 continue
-            b_reduced = int(coset_reduce(basis, [b])[0])
+            # coset_reduce's pivot loop on one int, without a one-word array.
+            b_reduced = b
+            for h in sorted(basis.pivots, reverse=True):
+                if (b_reduced >> h) & 1:
+                    b_reduced ^= basis.pivots[h]
             cand_reduced = coset_reduce(SpanBasis([b_reduced]), reduced)
             _, mult = np.unique(cand_reduced, return_counts=True)
             cand_profile = coset_profile(mult, basis.dim + 1, n, n, radius)

@@ -7,7 +7,6 @@ integer order coincides with lexicographic order on serializations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -202,17 +201,19 @@ def rank_of_span(vectors: Sequence[BitVector]) -> int:
 def ball_masks(n: int, radius: int) -> np.ndarray:
     """Packed words of B(0, radius) in weight-major, numeric-minor order.
 
-    Cached per (n, radius) and read-only, so repeated calls share one array."""
+    Built by a recurrence over the length: the weight-w words below 2^j are
+    those below 2^(j-1), then the weight-(w-1) words below 2^(j-1) with bit
+    j-1 set, which are all larger, so each weight stays ascending.  Cached per
+    (n, radius) and read-only, so repeated calls share one array."""
     if not 0 <= radius <= n:
         raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
-    chunks = [np.zeros(1, dtype=np.int64)]
-    for w in range(1, radius + 1):
-        vals = sorted(
-            sum(1 << (n - 1 - i) for i in positions)
-            for positions in itertools.combinations(range(n), w)
-        )
-        chunks.append(np.array(vals, dtype=np.int64))
-    ball = np.concatenate(chunks)
+    levels = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * radius
+    for j in range(n):
+        bit = np.int64(1 << j)
+        # Downward, so levels[w - 1] still holds the words below 2^j.
+        for w in range(min(j + 1, radius), 0, -1):
+            levels[w] = np.concatenate([levels[w], levels[w - 1] | bit])
+    ball = np.concatenate(levels)
     ball.flags.writeable = False
     return ball
 

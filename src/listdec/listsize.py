@@ -21,8 +21,11 @@ codes, so every entry point below serves both metrics.  Two engines compute L:
   the tests as the oracle.
 
 Histograms, tail statistics, potentials and the analytic inequality checks
-derive from the profile.  A per-center pairwise-distance recount serves as the
-independent oracle at small n.
+derive from the profile.  Every potential sum, at 160 bits or in intervals,
+reads its powers 2^(e ell) from potential_power, a bounded cache keyed by the
+mpmath context, its precision, epsilon, the block length and ell, so each
+term is one multiply-add and each value is bit-identical to the power
+evaluated afresh.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 import numpy as np
 
 from . import counting, precise
@@ -38,10 +41,12 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
 
 PROFILE_MAX_BITS = 26
-NAIVE_MAX_BITS = 16
 SCATTER_MAX = 1 << 30
 PAIR_CHECK_MAX_BITS = 16
 POTENTIAL_PREC = 160
+# Entries of the potential_power cache: one per (context, precision, epsilon,
+# block length, list size), a few hundred bytes each.
+POWER_CACHE_SIZE = 1024
 # Relative margin of the step check's float prefilter; classes within it are
 # decided in certified intervals.
 STEP_RECHECK_MARGIN = 1e-9
@@ -202,22 +207,6 @@ def scatter_table(
     return table
 
 
-def naive_table(words: np.ndarray, universe_bits: int, radius: int) -> np.ndarray:
-    """Per-center recount by direct pairwise distances (the oracle path)."""
-    if universe_bits > NAIVE_MAX_BITS:
-        raise ResourceLimitError(
-            f"naive recount capped at 2^{NAIVE_MAX_BITS} centers, asked for 2^{universe_bits}"
-        )
-    centers = np.arange(1 << universe_bits, dtype=np.int64)
-    out = np.zeros(len(centers), dtype=np.int64)
-    chunk = 512
-    for start in range(0, len(words), chunk):
-        part = words[start : start + chunk]
-        dists = popcount_array(centers[:, None] ^ part[None, :])
-        out += (dists <= radius).sum(axis=1)
-    return out
-
-
 def profile_from_table(table: np.ndarray, block_length: int, radius: int) -> ListProfile:
     universe_bits = int(len(table)).bit_length() - 1
     hist = np.bincount(table)
@@ -303,14 +292,6 @@ def list_profile(code, radius: int) -> ListProfile:
     return profile_from_table(list_size_table(code, radius), code.block_length, radius)
 
 
-def list_profile_naive(code, radius: int) -> ListProfile:
-    """Oracle twin of list_profile for Hamming codes; identical output contract."""
-    if not 0 <= radius <= code.n:
-        raise InvalidParameterError(f"radius must be in [0, {code.n}], got {radius}")
-    table = naive_table(code.codeword_array(), code.n, radius)
-    return profile_from_table(table, code.n, radius)
-
-
 def recount_center(code, center: int, radius: int) -> int:
     """Independent recount of one center's list, by the code's distance from
     the center to every codeword."""
@@ -384,13 +365,25 @@ def potential_exponent(ctx, epsilon: float, block_length: int):
     return eps * block_length / (1 + eps)
 
 
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def potential_power(ctx, prec: int, epsilon: float, block_length: int, ell: int):
+    """2^(e ell) in ctx at precision prec, e the potential exponent.
+
+    The power is transcendental (mpmath takes a log and an exp at every
+    precision), but it depends only on the key, so each is computed once.
+    prec must be ctx.prec: it is in the key so that a value is never served
+    at another precision, and the value is the same mpf (or interval) that
+    the expression gives when evaluated afresh."""
+    return ctx.mpf(2) ** (potential_exponent(ctx, epsilon, block_length) * ell)
+
+
 def potential_sum(ctx, counts, epsilon: float, block_length: int):
     """sum of c * 2^(e ell) over the pairs (ell, c) of counts, e the potential
-    exponent: a profile's potential times 2^universe_bits, or a weight row's."""
-    e = potential_exponent(ctx, epsilon, block_length)
+    exponent: a profile's potential times 2^universe_bits, or a weight row's.
+    Each power comes from potential_power, so a term is one multiply-add."""
     total = ctx.mpf(0)
     for ell, c in counts:
-        total += c * ctx.mpf(2) ** (e * ell)
+        total += c * potential_power(ctx, ctx.prec, epsilon, block_length, ell)
     return total
 
 

@@ -1,5 +1,5 @@
 """Rank-metric analogs over m x n matrices: rank distance, rank balls,
-random linear rank codes, the naive profile oracle and the potential baseline.
+random linear rank codes and the potential baseline.
 
 Matrices flatten to mn-bit words.  A RankCode supplies its metric to
 listsize's list_profile, certify, check_potential_step and list_size_table:
@@ -8,8 +8,7 @@ the ball (rank_ball_masks), the block length n of the potential exponent
 and BitMatrix witnesses; certify_rank and check_rank_potential_step forward
 there.  rank_ball_masks lists each rank-s matrix once as X R (R the reduced
 row echelon basis of its row space, X of full column rank), so nothing of
-size 2^(mn) is built.  The row-space automaton and its 2^(mn) rank_table
-serve only the oracle rank_list_profile_naive and the tests.
+size 2^(mn) is built, nor any table of ranks.
 """
 
 from __future__ import annotations
@@ -26,15 +25,12 @@ from .counting import rank_ball_size
 from .errors import InvalidParameterError, ResourceLimitError
 from .gf2 import MAX_MATRIX_BITS, BitMatrix, Rng, SpanBasis, check_enumeration_cap, rank_of_ints
 from .listsize import (
-    NAIVE_MAX_BITS,
     PROFILE_MAX_BITS,
     Certificate,
-    ListProfile,
     StepReport,
     certify,
     check_potential_step,
     potential_exponent,
-    profile_from_table,
 )
 
 RANK_UNIVERSE_MAX_BITS = 24
@@ -141,46 +137,6 @@ def rank_array(words: np.ndarray, m: int, n: int) -> np.ndarray:
     return ranks
 
 
-@lru_cache(maxsize=None)
-def _row_space_automaton(n: int):
-    """States are row spaces of F_2^n; transition appends one more row."""
-    start = (0,)
-    states: dict[tuple[int, ...], int] = {start: 0}
-    ranks = [0]
-    transitions: list[list[int]] = []
-    queue = [start]
-    while queue:
-        space = queue.pop(0)
-        row_next = []
-        members = set(space)
-        for row in range(1 << n):
-            if row in members:
-                target = space
-            else:
-                target = tuple(sorted(members | {e ^ row for e in members}))
-            if target not in states:
-                states[target] = len(states)
-                ranks.append(len(target).bit_length() - 1)
-                queue.append(target)
-            row_next.append(states[target])
-        transitions.append(row_next)
-    trans = np.array(transitions, dtype=np.int32)
-    return trans, np.array(ranks, dtype=np.uint8)
-
-
-@lru_cache(maxsize=8)
-def rank_table(m: int, n: int) -> np.ndarray:
-    """rank of every m x n matrix, indexed by the flattened integer."""
-    if m * n > RANK_UNIVERSE_MAX_BITS:
-        raise ResourceLimitError(f"rank table capped at mn <= {RANK_UNIVERSE_MAX_BITS}")
-    trans, ranks = _row_space_automaton(n)
-    rows = 1 << n
-    state = np.zeros(1, dtype=np.int32)
-    for _ in range(m):
-        state = trans[np.repeat(state, rows), np.tile(np.arange(rows, dtype=np.int32), len(state))]
-    return ranks[state]
-
-
 def _rref_rows(n: int, s: int) -> np.ndarray:
     """The s rows of every s x n matrix of rank s in reduced row echelon form,
     one matrix per row space, as an array of shape (count, s)."""
@@ -263,20 +219,6 @@ def random_linear_rank_code(params: RankParams, k: int, rng: Rng) -> RankCode:
         for _ in range(k)
     )
     return RankCode(params, gens)
-
-
-def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
-    """Oracle twin: per-center recount by rank distance lookups."""
-    params = code.params
-    bits = params.universe_bits
-    if bits > NAIVE_MAX_BITS:
-        raise ResourceLimitError(f"naive rank recount capped at mn <= {NAIVE_MAX_BITS}")
-    table = rank_table(params.m, params.n)
-    centers = np.arange(1 << bits, dtype=np.int64)
-    out = np.zeros(len(centers), dtype=np.int64)
-    for c in code.codeword_array():
-        out += table[centers ^ c] <= radius
-    return profile_from_table(out, params.n, radius)
 
 
 def certify_rank(code: RankCode, radius: int, max_list: int) -> Certificate:

@@ -1,0 +1,114 @@
+"""Slow oracle twins that only the tests use.
+
+- ball_masks_itertools: the Hamming ball listed by itertools, the twin of
+  gf2.ball_masks;
+- naive_table and list_profile_naive: per-center list sizes by direct
+  pairwise distances, the twin of listsize.list_profile;
+- rank_table: the rank of every m x n matrix from a row-space automaton, and
+  rank_list_profile_naive, the per-center rank recount it serves.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+import numpy as np
+
+from listdec.errors import InvalidParameterError, ResourceLimitError
+from listdec.gf2 import popcount_array
+from listdec.listsize import ListProfile, profile_from_table
+from listdec.rankmetric import RANK_UNIVERSE_MAX_BITS, RankCode
+
+NAIVE_MAX_BITS = 16
+
+
+def ball_masks_itertools(n: int, radius: int) -> np.ndarray:
+    """Packed words of B(0, radius) in weight-major, numeric-minor order,
+    each weight's words listed by itertools.combinations and sorted."""
+    chunks = [np.zeros(1, dtype=np.int64)]
+    for w in range(1, radius + 1):
+        vals = sorted(
+            sum(1 << (n - 1 - i) for i in positions)
+            for positions in itertools.combinations(range(n), w)
+        )
+        chunks.append(np.array(vals, dtype=np.int64))
+    return np.concatenate(chunks)
+
+
+def naive_table(words: np.ndarray, universe_bits: int, radius: int) -> np.ndarray:
+    """Per-center recount by direct pairwise distances."""
+    if universe_bits > NAIVE_MAX_BITS:
+        raise ResourceLimitError(
+            f"naive recount capped at 2^{NAIVE_MAX_BITS} centers, asked for 2^{universe_bits}"
+        )
+    centers = np.arange(1 << universe_bits, dtype=np.int64)
+    out = np.zeros(len(centers), dtype=np.int64)
+    chunk = 512
+    for start in range(0, len(words), chunk):
+        part = words[start : start + chunk]
+        dists = popcount_array(centers[:, None] ^ part[None, :])
+        out += (dists <= radius).sum(axis=1)
+    return out
+
+
+def list_profile_naive(code, radius: int) -> ListProfile:
+    """Oracle twin of list_profile for Hamming codes; identical output contract."""
+    if not 0 <= radius <= code.n:
+        raise InvalidParameterError(f"radius must be in [0, {code.n}], got {radius}")
+    table = naive_table(code.codeword_array(), code.n, radius)
+    return profile_from_table(table, code.n, radius)
+
+
+@lru_cache(maxsize=None)
+def _row_space_automaton(n: int):
+    """States are row spaces of F_2^n; transition appends one more row."""
+    start = (0,)
+    states: dict[tuple[int, ...], int] = {start: 0}
+    ranks = [0]
+    transitions: list[list[int]] = []
+    queue = [start]
+    while queue:
+        space = queue.pop(0)
+        row_next = []
+        members = set(space)
+        for row in range(1 << n):
+            if row in members:
+                target = space
+            else:
+                target = tuple(sorted(members | {e ^ row for e in members}))
+            if target not in states:
+                states[target] = len(states)
+                ranks.append(len(target).bit_length() - 1)
+                queue.append(target)
+            row_next.append(states[target])
+        transitions.append(row_next)
+    trans = np.array(transitions, dtype=np.int32)
+    return trans, np.array(ranks, dtype=np.uint8)
+
+
+@lru_cache(maxsize=8)
+def rank_table(m: int, n: int) -> np.ndarray:
+    """rank of every m x n matrix, indexed by the flattened integer."""
+    if m * n > RANK_UNIVERSE_MAX_BITS:
+        raise ResourceLimitError(f"rank table capped at mn <= {RANK_UNIVERSE_MAX_BITS}")
+    trans, ranks = _row_space_automaton(n)
+    rows = 1 << n
+    state = np.zeros(1, dtype=np.int32)
+    for _ in range(m):
+        state = trans[np.repeat(state, rows), np.tile(np.arange(rows, dtype=np.int32), len(state))]
+    return ranks[state]
+
+
+def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
+    """Oracle twin: per-center recount by rank distance lookups."""
+    params = code.params
+    bits = params.universe_bits
+    if bits > NAIVE_MAX_BITS:
+        raise ResourceLimitError(f"naive rank recount capped at mn <= {NAIVE_MAX_BITS}")
+    table = rank_table(params.m, params.n)
+    centers = np.arange(1 << bits, dtype=np.int64)
+    out = np.zeros(len(centers), dtype=np.int64)
+    for c in code.codeword_array():
+        out += table[centers ^ c] <= radius
+    return profile_from_table(out, params.n, radius)

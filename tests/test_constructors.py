@@ -30,7 +30,7 @@ from listdec import (
     uniform_random_code,
     verify_trace,
 )
-from listdec import LinearCode, PotentialTrace, constructors
+from listdec import LinearCode, PotentialTrace, constructors, listsize
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
 from listdec.listsize import (
@@ -214,6 +214,15 @@ class TestGuidedBuilder:
         b = potential_guided_code(14, 3, 1, 0.5, Rng(7, 3))
         assert a[0].generators == b[0].generators
         assert a[1] == b[1]
+
+    def test_rebuild_hits_the_power_cache(self):
+        assert listsize.potential_power.cache_info().maxsize is not None
+        first = potential_guided_code(20, 6, 2, 0.2, Rng(2024, 0))
+        misses = listsize.potential_power.cache_info().misses
+        second = potential_guided_code(20, 6, 2, 0.2, Rng(2024, 0))
+        assert listsize.potential_power.cache_info().misses == misses
+        assert second[0].generators == first[0].generators
+        assert second[1] == first[1]
 
     def test_square_rule_variant(self):
         code, trace = potential_guided_code(12, 3, 1, 0.5, Rng(8, 0), rule="square")

@@ -22,6 +22,7 @@ from listdec import (
 from listdec.counting import hamming_volume
 from listdec import gf2
 from listdec.gf2 import ENUM_MAX_WORDS, ball_masks, popcount_array
+from naive_oracle import ball_masks_itertools
 
 
 def bv(s: str) -> BitVector:
@@ -127,6 +128,18 @@ class TestBallEnumeration:
     def test_size_matches_volume(self, n):
         for r in range(n + 1):
             assert len(ball_masks(n, r)) == hamming_volume(n, r)
+
+    @pytest.mark.parametrize("n,radius", [(20, 2), (26, 3), (30, 4)])
+    def test_matches_itertools_oracle(self, n, radius):
+        ball = ball_masks(n, radius)
+        assert ball.dtype == np.int64
+        assert np.array_equal(ball, ball_masks_itertools(n, radius))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 16), st.data())
+    def test_matches_itertools_oracle_small(self, n, data):
+        radius = data.draw(st.integers(0, n))
+        assert np.array_equal(ball_masks.__wrapped__(n, radius), ball_masks_itertools(n, radius))
 
     def test_cached_read_only(self):
         first = ball_masks(9, 2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import iv, mp
 
 from listdec import (
     BitVector,
@@ -23,7 +24,6 @@ from listdec import (
     envelope_trace,
     hamming_volume,
     list_profile,
-    list_profile_naive,
     list_size_table,
     max_envelope_steps,
     potential,
@@ -40,12 +40,12 @@ from listdec.listsize import (
     coset_counts,
     coset_pair_weights,
     coset_reduce,
-    naive_table,
     profile_from_table,
     quotient_index,
     recount_center,
     scatter_table,
 )
+from naive_oracle import list_profile_naive, naive_table
 from step_oracle import (
     affordable,
     dense_potential_step,
@@ -341,6 +341,48 @@ class TestPotential:
         prof = list_profile(LinearCode(3, ()), 1)
         with pytest.raises(InvalidParameterError):
             potential(prof, 0.0)
+
+
+def _at_prec(ctx, prec, build):
+    with precise._LOCK:
+        old = ctx.prec
+        ctx.prec = prec
+        try:
+            return build()
+        finally:
+            ctx.prec = old
+
+
+class TestPotentialPowerCache:
+    PRECS = (53, 120, 160, 240, 480, 240, 160, 120, 53)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 1 << 40)), min_size=1, max_size=6),
+        st.floats(1e-6, 4.0),
+        st.integers(1, 62),
+    )
+    def test_bit_identical_to_fresh_powers(self, counts, epsilon, block_length):
+        # The precisions interleave, so a cache key without the precision
+        # would serve a value computed at another one.
+        for ctx in (mp, iv):
+            for prec in self.PRECS:
+
+                def fresh():
+                    e = listsize.potential_exponent(ctx, epsilon, block_length)
+                    total = ctx.mpf(0)
+                    for ell, c in counts:
+                        total += c * ctx.mpf(2) ** (e * ell)
+                    return total
+
+                cached = _at_prec(
+                    ctx, prec, lambda: listsize.potential_sum(ctx, counts, epsilon, block_length)
+                )
+                expected = _at_prec(ctx, prec, fresh)
+                if ctx is mp:
+                    assert cached.man_exp == expected.man_exp
+                else:
+                    assert cached._mpi_ == expected._mpi_
 
 
 class TestSumRule:
