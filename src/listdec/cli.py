@@ -4,8 +4,9 @@ seeds, JSON/CSV outputs, config echo and atomic writes.
 Every run resolves its arguments into a config dict that is echoed into the
 output header; re-running `listdec --config <echoed>` reproduces the output
 byte for byte.  Exit codes: 0 success or property holds, 1 witness or
-construction failure, 2 invalid parameters, 3 resource limit (a cap of the
-library, raised as ResourceLimitError before anything is allocated).
+construction failure, 2 invalid parameters (among them a word past 62 bits),
+3 resource limit (a cap of listdec.limits, raised as ResourceLimitError
+before anything is allocated).
 """
 
 from __future__ import annotations

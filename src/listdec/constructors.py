@@ -11,10 +11,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import precise
+from . import limits, precise
 from .counting import hamming_volume
 from .errors import ConstructionError, InvalidParameterError
-from .gf2 import MAX_N, BitVector, Rng, SpanBasis, ball_masks, popcount_array
+from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
     POTENTIAL_PREC,
     HammingMetric,
@@ -23,7 +23,6 @@ from .listsize import (
     coset_counts,
     coset_profile,
     coset_reduce,
-    hamming_ball,
     iv_excess,
     list_profile,
     one_step_bound,
@@ -35,8 +34,6 @@ DEFAULT_MAX_RETRIES = 64
 # Relative distance of the two sides of a guided accept below which the
 # POTENTIAL_PREC comparison is decided again; its own error is far smaller.
 RECHECK_MARGIN = 1e-12
-# Bound on the transient center array of one incremental resampling update.
-BALL_CHUNK_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +45,7 @@ class CodeTable(HammingMetric):
     array: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise InvalidParameterError(f"vector length must be in [1, {MAX_N}], got {self.n}")
+        limits.check_word_bits(self.n)
         words = np.asarray(self.array)
         if words.ndim != 1 or (words.size and words.dtype.kind not in "iu"):
             raise InvalidParameterError("codewords must be a flat sequence of integers")
@@ -97,6 +93,7 @@ def uniform_random_code(n: int, num_messages: int, rng: Rng) -> CodeTable:
         raise InvalidParameterError(
             f"message count must be in [1, 2^{n}], got {num_messages}"
         )
+    limits.check_count(num_messages, limits.MAX_WORDS, "uniform table needs {} words")
     return CodeTable(n, rng.bit_array(n, num_messages))
 
 
@@ -151,7 +148,7 @@ def potential_guided_code(
 
     basis = SpanBasis()
     gens: list[BitVector] = []
-    reduced = hamming_ball(n, radius)  # the ball words, reduced modulo the code
+    reduced = ball_masks(n, radius)  # the ball words, reduced modulo the code
     _, mult = coset_counts(basis, reduced)
     profile = coset_profile(mult, 0, n, n, radius)
     state = potential(profile, epsilon)
@@ -338,8 +335,8 @@ class MoserTardosResult:
 
 def _ball_centers(words: np.ndarray, ball: np.ndarray):
     """Every center x ^ e for x in words, e in ball, in chunks of at most
-    BALL_CHUNK_PAIRS entries (duplicates kept: one entry per word-ball pair)."""
-    chunk = max(1, BALL_CHUNK_PAIRS // len(ball))
+    limits.CHUNK_PAIRS entries (duplicates kept: one entry per word-ball pair)."""
+    chunk = max(1, limits.CHUNK_PAIRS // len(ball))
     for start in range(0, len(words), chunk):
         yield (words[start : start + chunk, None] ^ ball[None, :]).ravel()
 

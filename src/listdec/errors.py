@@ -8,7 +8,7 @@ class InvalidParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed the desk-scale table or scatter budget."""
+    """A request over a cap of listdec.limits, raised before anything is built."""
 
 
 class PrecisionError(RuntimeError):

@@ -14,12 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counting import hamming_volume
-from .errors import InvalidParameterError, ResourceLimitError
-
-MAX_N = 30
-MAX_MATRIX_BITS = 30
-# Most words a ball enumeration lists as BitVectors or BitMatrices.
-ENUM_MAX_WORDS = 1 << 20
+from .errors import InvalidParameterError
+from .limits import ENUM_MAX_WORDS, MAX_WORDS, WORD_BITS, check_bits, check_count, check_word_bits
 
 
 def popcount_array(values: np.ndarray) -> np.ndarray:
@@ -29,14 +25,13 @@ def popcount_array(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BitVector:
-    """Immutable GF(2) vector of length 1 <= n <= 30."""
+    """Immutable GF(2) vector of length 1 <= n <= WORD_BITS (62)."""
 
     n: int
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise InvalidParameterError(f"vector length must be in [1, {MAX_N}], got {self.n}")
+        check_word_bits(self.n)
         if not 0 <= self.bits < (1 << self.n):
             raise InvalidParameterError(f"bits 0x{self.bits:x} out of range for length {self.n}")
 
@@ -68,7 +63,7 @@ class BitVector:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Immutable m x n matrix over GF(2) with n <= m and mn <= 30.
+    """Immutable m x n matrix over GF(2) with n <= m and mn <= WORD_BITS (62).
 
     Rows are packed n-bit words; row 0 is the most significant block of the
     flattened integer, so row-major serialization order matches integer order.
@@ -79,9 +74,9 @@ class BitMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.n > self.m or self.m * self.n > MAX_MATRIX_BITS:
+        if self.n < 1 or self.n > self.m or self.m * self.n > WORD_BITS:
             raise InvalidParameterError(
-                f"matrix shape must satisfy 1 <= n <= m and mn <= {MAX_MATRIX_BITS}, got {self.m}x{self.n}"
+                f"matrix shape must satisfy 1 <= n <= m and mn <= {WORD_BITS}, got {self.m}x{self.n}"
             )
         if len(self.rows) != self.m:
             raise InvalidParameterError(f"expected {self.m} rows, got {len(self.rows)}")
@@ -102,10 +97,10 @@ class BitMatrix:
 
     @classmethod
     def from_string(cls, s: str) -> "BitMatrix":
-        lines = [ln for ln in s.strip().splitlines() if ln]
-        rows = [BitVector.from_string(ln) for ln in lines]
-        n = rows[0].n
-        return cls(len(rows), n, tuple(r.bits for r in rows))
+        rows = [BitVector.from_string(ln) for ln in s.strip().splitlines() if ln]
+        if not rows or any(r.n != rows[0].n for r in rows):
+            raise InvalidParameterError(f"not a matrix of equal-length bit rows: {s!r}")
+        return cls(len(rows), rows[0].n, tuple(r.bits for r in rows))
 
     def to_flat(self) -> int:
         value = 0
@@ -175,6 +170,7 @@ class SpanBasis:
 
     def enumerate(self) -> np.ndarray:
         """All 2^dim span elements as an int64 array (iterative doubling)."""
+        check_bits(self.dim, MAX_WORDS, "span enumeration needs {} codewords")
         out = np.zeros(1, dtype=np.int64)
         for v in self.pivots.values():
             out = np.concatenate([out, out ^ np.int64(v)])
@@ -204,9 +200,10 @@ def ball_masks(n: int, radius: int) -> np.ndarray:
     Built by a recurrence over the length: the weight-w words below 2^j are
     those below 2^(j-1), then the weight-(w-1) words below 2^(j-1) with bit
     j-1 set, which are all larger, so each weight stays ascending.  Cached per
-    (n, radius) and read-only, so repeated calls share one array."""
-    if not 0 <= radius <= n:
-        raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
+    (n, radius) and read-only, so repeated calls share one array.  The word
+    length and the ball's volume are checked before anything is built."""
+    check_word_bits(n)
+    check_count(hamming_volume(n, radius), MAX_WORDS, "Hamming ball needs {} words")
     levels = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * radius
     for j in range(n):
         bit = np.int64(1 << j)
@@ -218,14 +215,8 @@ def ball_masks(n: int, radius: int) -> np.ndarray:
     return ball
 
 
-def check_enumeration_cap(size: int) -> None:
-    """Raise ResourceLimitError before a ball of this many words is listed."""
-    if size > ENUM_MAX_WORDS:
-        raise ResourceLimitError(f"enumeration capped at {ENUM_MAX_WORDS} words, asked for {size}")
-
-
 def enumerate_ball(center: BitVector, radius: int) -> list[BitVector]:
-    check_enumeration_cap(hamming_volume(center.n, radius))
+    check_count(hamming_volume(center.n, radius), ENUM_MAX_WORDS, "enumeration needs {} words")
     masks = ball_masks(center.n, radius)
     return [BitVector(center.n, center.bits ^ int(e)) for e in masks]
 
@@ -259,13 +250,11 @@ class Rng:
         return Rng(self.master_seed, self.stream_index, self.subkey + key)
 
     def bits(self, width: int) -> int:
-        if not 1 <= width <= 62:
-            raise InvalidParameterError(f"bit width must be in [1, 62], got {width}")
+        check_word_bits(width, "bit width")
         return int(self._gen.integers(0, 1 << width))
 
     def bit_array(self, width: int, size: int) -> np.ndarray:
-        if not 1 <= width <= 62:
-            raise InvalidParameterError(f"bit width must be in [1, 62], got {width}")
+        check_word_bits(width, "bit width")
         return self._gen.integers(0, 1 << width, size=size, dtype=np.int64)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
@@ -277,6 +266,4 @@ class Rng:
 
 
 def random_vector(n: int, rng: Rng) -> BitVector:
-    if not 1 <= n <= MAX_N:
-        raise InvalidParameterError(f"vector length must be in [1, {MAX_N}], got {n}")
     return BitVector(n, rng.bits(n))

@@ -37,12 +37,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import counting, precise
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
+from .limits import CHUNK_PAIRS, MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
-PROFILE_MAX_BITS = 26
-SCATTER_MAX = 1 << 30
-PAIR_CHECK_MAX_BITS = 16
 POTENTIAL_PREC = 160
 # Entries of the potential_power cache: one per (context, precision, epsilon,
 # block length, list size), a few hundred bytes each.
@@ -82,7 +80,7 @@ class HammingMetric:
         return self.n
 
     def ball(self, radius: int) -> np.ndarray:
-        return hamming_ball(self.n, radius)
+        return ball_masks(self.n, radius)
 
     weight_array = staticmethod(popcount_array)
 
@@ -168,19 +166,15 @@ class Certificate:
     max_list: int
 
 
-def check_scatter_caps(universe_bits: int, increments: int) -> None:
+def check_scatter_caps(universe_bits: int, increments: int = 0) -> None:
     """Raise ResourceLimitError before a scatter table of 2^universe_bits
     counters, fed by this many ball increments, is allocated."""
-    if universe_bits > PROFILE_MAX_BITS:
-        raise ResourceLimitError(
-            f"profile table needs 2^{universe_bits} counters (cap 2^{PROFILE_MAX_BITS})"
-        )
-    if increments > SCATTER_MAX:
-        raise ResourceLimitError(f"scatter would need {increments} increments (cap {SCATTER_MAX})")
+    check_bits(universe_bits, MAX_WORDS, "profile table needs {} counters")
+    check_count(increments, SCATTER_MAX, "scatter would need {} increments")
 
 
 def scatter_table(
-    words: np.ndarray, ball: np.ndarray, universe_bits: int, chunk_pairs: int = 1 << 24
+    words: np.ndarray, ball: np.ndarray, universe_bits: int, chunk_pairs: int = CHUNK_PAIRS
 ) -> np.ndarray:
     """Per-center list sizes by scattering each word's ball (cost |C| * Vol).
 
@@ -268,18 +262,10 @@ def certify_cosets(
     return False, int(reps[np.argmax(mult > max_list)]), max_seen
 
 
-def hamming_ball(n: int, radius: int) -> np.ndarray:
-    """ball_masks(n, radius), after the radius check and the cap of
-    2^PROFILE_MAX_BITS centers, which also bounds the ball."""
-    if not 0 <= radius <= n:
-        raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
-    if n > PROFILE_MAX_BITS:
-        raise ResourceLimitError(f"list sizes capped at 2^{PROFILE_MAX_BITS} centers, asked for 2^{n}")
-    return ball_masks(n, radius)
-
-
 def list_size_table(code, radius: int) -> np.ndarray:
-    """L[x] for every center x of the code's universe, via codeword-ball scatter."""
+    """L[x] for every center x of the code's universe, via codeword-ball scatter;
+    the 2^n table is capped before the codewords or the ball are built."""
+    check_scatter_caps(code.n)
     return scatter_table(code.codeword_array(), code.ball(radius), code.n)
 
 
@@ -425,8 +411,7 @@ class SumRuleReport:
 def check_sum_rule(code: LinearCode, b: BitVector, radius: int) -> SumRuleReport:
     """Exhaustive over x: the union list size never exceeds the split sum,
     with equality at every x exactly when b is outside the code."""
-    if code.n > PAIR_CHECK_MAX_BITS:
-        raise ResourceLimitError(f"sum-rule check capped at n = {PAIR_CHECK_MAX_BITS}")
+    check_bits(code.n, 1 << PAIR_CHECK_MAX_BITS, "sum-rule check needs {} centers")
     base = list_size_table(code, radius)
     in_code = code.contains(b)
     union = list_size_table(code.extended(b), radius)
@@ -465,7 +450,7 @@ def quotient_index(basis: SpanBasis, reduced: np.ndarray, universe_bits: int) ->
     return out
 
 
-def coset_pair_weights(table: np.ndarray, chunk_pairs: int = 1 << 24) -> np.ndarray:
+def coset_pair_weights(table: np.ndarray, chunk_pairs: int = CHUNK_PAIRS) -> np.ndarray:
     """rows[c, s] = #{cosets u : L(u) + L(u + c) = s} for every coset c.
 
     table holds L of every coset, indexed by quotient_index.  L_{C+b}(x) =
@@ -481,15 +466,10 @@ def coset_pair_weights(table: np.ndarray, chunk_pairs: int = 1 << 24) -> np.ndar
     mode = int(np.argmax(hist))
     dev = np.flatnonzero(table != mode)
     vals = table[dev]
-    pairs = len(dev) ** 2
-    if pairs > SCATTER_MAX:
-        raise ResourceLimitError(f"step check would need {pairs} coset pairs (cap {SCATTER_MAX})")
+    check_count(len(dev) ** 2, SCATTER_MAX, "step check would need {} coset pairs")
     width = 2 * len(hist) - 1
     size = width * len(table)
-    if size > 1 << PROFILE_MAX_BITS:
-        raise ResourceLimitError(
-            f"step check needs {size} weight counters (cap 2^{PROFILE_MAX_BITS})"
-        )
+    check_count(size, MAX_WORDS, "step check needs {} weight counters")
     both = np.zeros(size, dtype=np.int64)
     one = np.zeros(size, dtype=np.int64)
     chunk = max(1, chunk_pairs // max(1, len(dev)))
@@ -517,9 +497,7 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
     dim = basis.dim
     quotient_bits = universe_bits - dim
-    if quotient_bits > PAIR_CHECK_MAX_BITS:
-        cap = f"step check capped at 2^{PAIR_CHECK_MAX_BITS} coset classes"
-        raise ResourceLimitError(f"{cap}, asked for 2^{quotient_bits}")
+    check_bits(quotient_bits, 1 << PAIR_CHECK_MAX_BITS, "step check needs {} coset classes")
     reps, mult = coset_counts(basis, code.ball(radius))
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)

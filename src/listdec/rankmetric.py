@@ -22,32 +22,24 @@ import numpy as np
 
 from . import precise
 from .counting import rank_ball_size
-from .errors import InvalidParameterError, ResourceLimitError
-from .gf2 import MAX_MATRIX_BITS, BitMatrix, Rng, SpanBasis, check_enumeration_cap, rank_of_ints
-from .listsize import (
-    PROFILE_MAX_BITS,
-    Certificate,
-    StepReport,
-    certify,
-    check_potential_step,
-    potential_exponent,
-)
-
-RANK_UNIVERSE_MAX_BITS = 24
+from .errors import InvalidParameterError
+from .gf2 import BitMatrix, Rng, SpanBasis, rank_of_ints
+from .limits import ENUM_MAX_WORDS, MAX_WORDS, WORD_BITS, check_count, check_word_bits
+from .listsize import Certificate, StepReport, certify, check_potential_step, potential_exponent
 
 
 @dataclass(frozen=True)
 class RankParams:
-    """Shape m x n (n <= m, mn <= 24) and integer rank radius."""
+    """Shape m x n (n <= m, mn <= WORD_BITS = 62) and integer rank radius."""
 
     m: int
     n: int
     radius: int
 
     def __post_init__(self):
-        if self.n < 1 or self.n > self.m or self.m * self.n > RANK_UNIVERSE_MAX_BITS:
+        if self.n < 1 or self.n > self.m or self.m * self.n > WORD_BITS:
             raise InvalidParameterError(
-                f"need 1 <= n <= m and mn <= {RANK_UNIVERSE_MAX_BITS}, got {self.m}x{self.n}"
+                f"need 1 <= n <= m and mn <= {WORD_BITS}, got {self.m}x{self.n}"
             )
         if not 0 <= self.radius <= self.n:
             raise InvalidParameterError(
@@ -185,14 +177,10 @@ def rank_ball_masks(m: int, n: int, radius: int) -> np.ndarray:
     reduced row echelon form and one m x s matrix X of full column rank, so
     enumerating the pairs (X, R) for s <= radius lists the ball once, at the
     ball's cost.  Cached per (m, n, radius) and read-only, so repeated calls
-    share one array."""
-    size = rank_ball_size(2, m, n, radius)
-    if size > 1 << PROFILE_MAX_BITS:
-        raise ResourceLimitError(
-            f"rank ball of {size} words exceeds the cap of 2^{PROFILE_MAX_BITS}"
-        )
-    if m * n > MAX_MATRIX_BITS:
-        raise ResourceLimitError(f"rank ball words capped at mn <= {MAX_MATRIX_BITS}")
+    share one array.  The word length mn and the ball's volume are checked
+    before anything is built."""
+    check_word_bits(m * n, "matrix size mn")
+    check_count(rank_ball_size(2, m, n, radius), MAX_WORDS, "rank ball needs {} words")
     parts = [np.zeros(1, dtype=np.int64)]
     for s in range(1, radius + 1):
         columns = _spread(_independent_tuples(m, s), m, n)
@@ -207,7 +195,7 @@ def rank_ball_masks(m: int, n: int, radius: int) -> np.ndarray:
 
 
 def enumerate_rank_ball(m: int, n: int, radius: int) -> list[BitMatrix]:
-    check_enumeration_cap(rank_ball_size(2, m, n, radius))
+    check_count(rank_ball_size(2, m, n, radius), ENUM_MAX_WORDS, "enumeration needs {} words")
     return [BitMatrix.from_flat(m, n, int(v)) for v in rank_ball_masks(m, n, radius)]
 
 

@@ -22,7 +22,7 @@ from .counting import (
 from .constructors import random_linear_code, uniform_random_code
 from .errors import InvalidParameterError
 from .gf2 import Rng
-from .listsize import coset_counts, list_size_table
+from .listsize import check_scatter_caps, coset_counts, list_size_table
 
 
 def ball_fraction(n: int, radius: int) -> Fraction:
@@ -288,6 +288,8 @@ def separation_experiment(
                 rate=rate, max_list=top, witness=witness,
             )
         )
+        # The uniform table's caps, checked before its words are drawn.
+        check_scatter_caps(n, num_messages * hamming_volume(n, radius))
         table_code = uniform_random_code(n, num_messages, rng.substream(t, 1))
         top, witness = _max_list_and_witness(table_code, radius)
         uniform_max.append(top)

@@ -18,9 +18,11 @@ import numpy as np
 from listdec.errors import InvalidParameterError, ResourceLimitError
 from listdec.gf2 import popcount_array
 from listdec.listsize import ListProfile, profile_from_table
-from listdec.rankmetric import RANK_UNIVERSE_MAX_BITS, RankCode
+from listdec.rankmetric import RankCode
 
 NAIVE_MAX_BITS = 16
+# rank_table runs its automaton over every matrix, so at most 2^24 of them.
+RANK_TABLE_MAX_BITS = 24
 
 
 def ball_masks_itertools(n: int, radius: int) -> np.ndarray:
@@ -90,8 +92,8 @@ def _row_space_automaton(n: int):
 @lru_cache(maxsize=8)
 def rank_table(m: int, n: int) -> np.ndarray:
     """rank of every m x n matrix, indexed by the flattened integer."""
-    if m * n > RANK_UNIVERSE_MAX_BITS:
-        raise ResourceLimitError(f"rank table capped at mn <= {RANK_UNIVERSE_MAX_BITS}")
+    if m * n > RANK_TABLE_MAX_BITS:
+        raise ResourceLimitError(f"rank table capped at mn <= {RANK_TABLE_MAX_BITS}")
     trans, ranks = _row_space_automaton(n)
     rows = 1 << n
     state = np.zeros(1, dtype=np.int32)

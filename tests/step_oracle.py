@@ -15,8 +15,8 @@ import numpy as np
 
 from listdec import precise
 from listdec.errors import ResourceLimitError
+from listdec.limits import PAIR_CHECK_MAX_BITS
 from listdec.listsize import (
-    PAIR_CHECK_MAX_BITS,
     StepReport,
     coset_counts,
     iv_excess,

@@ -46,7 +46,8 @@ class TestExitCodes:
         assert run_cli("certify", "--n", "10", "--radius", "1", "--max-list", "1") == 2
 
     def test_resource_three(self):
-        assert run_cli("profile", "--n", "28", "--radius", "1", "--epsilon", "0.5", "--k", "1") == 3
+        # Vol(62, 6) = 68,543,140 words, over the 2^26-word ball cap.
+        assert run_cli("profile", "--n", "62", "--radius", "6", "--epsilon", "0.5", "--k", "1") == 3
 
     def test_csv_format_rejected_without_csv_form(self):
         assert run_cli("volumes", "--n", "8", "--radius", "2", "--format", "csv") == 2
@@ -94,17 +95,26 @@ class TestLibraryCaps:
             *extra,
         ) == 3
 
+    def test_profile_at_60_runs(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run_cli(
+            "profile", "--n", "60", "--radius", "4", "--epsilon", "0.05", "--k", "29",
+            "--out", str(out),
+        ) == 0
+        counts = json.loads(out.read_text())["result"]["counts"]
+        assert sum(counts.values()) == 1 << 60
+
     def test_linear_construct_at_28(self):
         assert run_cli("construct", "--kind", "linear", "--n", "28", "--k", "3") == 0
 
-    def test_guided_at_28_hits_the_profile_cap(self):
+    def test_guided_at_62_hits_the_ball_cap(self):
         assert run_cli(
-            "construct", "--kind", "guided", "--n", "28", "--k", "2", "--radius", "1",
+            "construct", "--kind", "guided", "--n", "62", "--k", "2", "--radius", "6",
             "--epsilon", "0.5",
         ) == 3
 
-    def test_vector_length_past_30_is_invalid(self):
-        assert run_cli("profile", "--n", "31", "--radius", "1", "--epsilon", "0.5", "--k", "1") == 2
+    def test_vector_length_past_62_is_invalid(self):
+        assert run_cli("profile", "--n", "63", "--radius", "1", "--epsilon", "0.5", "--k", "1") == 2
 
 
 class TestConfigEcho:

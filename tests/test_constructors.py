@@ -30,7 +30,7 @@ from listdec import (
     uniform_random_code,
     verify_trace,
 )
-from listdec import LinearCode, PotentialTrace, constructors, listsize
+from listdec import LinearCode, PotentialTrace, constructors, limits, listsize
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
 from listdec.listsize import (
@@ -158,7 +158,7 @@ class TestCodeTable:
 
     @pytest.mark.parametrize(
         "n,words",
-        [(3, (8,)), (3, (-1,)), (0, ()), (31, ()), (4, (1.5,)), (4, [[1, 2]]), (4, (1 << 70,))],
+        [(3, (8,)), (3, (-1,)), (0, ()), (63, ()), (4, (1.5,)), (4, [[1, 2]]), (4, (1 << 70,))],
     )
     def test_invalid_words_or_length(self, n, words):
         with pytest.raises(InvalidParameterError):
@@ -527,7 +527,7 @@ class TestMoserTardosIncremental:
     def test_chunked_updates_match_oracle(self, monkeypatch):
         # Chunks smaller than one ball: every update spans many chunks, and a
         # center reaches its final count only in its last chunk.
-        monkeypatch.setattr(constructors, "BALL_CHUNK_PAIRS", 5)
+        monkeypatch.setattr(limits, "CHUNK_PAIRS", 5)
         self.sweep_against_oracle()
 
 

@@ -21,7 +21,8 @@ from listdec import (
 )
 from listdec.counting import hamming_volume
 from listdec import gf2
-from listdec.gf2 import ENUM_MAX_WORDS, ball_masks, popcount_array
+from listdec.gf2 import ball_masks, popcount_array
+from listdec.limits import ENUM_MAX_WORDS
 from naive_oracle import ball_masks_itertools
 
 
@@ -188,7 +189,16 @@ class TestBitMatrix:
         with pytest.raises(InvalidParameterError):
             BitMatrix(2, 3, (0, 0))  # n > m
         with pytest.raises(InvalidParameterError):
-            BitMatrix(8, 4, (0,) * 8)  # mn > 30
+            BitMatrix(9, 7, (0,) * 9)  # mn > 62
+
+    def test_from_string_rejects_ragged_rows(self):
+        with pytest.raises(InvalidParameterError):
+            BitMatrix.from_string("111\n01\n101")
+
+    def test_from_string_rejects_empty_input(self):
+        for text in ("", "\n\n"):
+            with pytest.raises(InvalidParameterError):
+                BitMatrix.from_string(text)
 
 
 class TestRng:
@@ -221,7 +231,7 @@ class TestRng:
 
     def test_random_vector_range_check(self):
         with pytest.raises(InvalidParameterError):
-            random_vector(31, Rng(1, 0))
+            random_vector(63, Rng(1, 0))
 
 
 def _chi_square_critical(df: int, quantile: float) -> float:

@@ -1,0 +1,51 @@
+"""One owner for every resource cap: listdec.limits holds the cap values and
+is the only module that raises ResourceLimitError."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+from listdec import limits
+
+SRC = Path(limits.__file__).resolve().parent
+CAPS = {"WORD_BITS", "MAX_WORDS", "ENUM_MAX_WORDS", "SCATTER_MAX", "PAIR_CHECK_MAX_BITS", "CHUNK_PAIRS"}
+# A cap by its name: a bound, a chunk size or a bit width.
+CAP_NAME = re.compile(r"MAX|CAP|LIMIT|CHUNK|BITS")
+# Bounds that are not resource caps: the certified loop's precision ceiling
+# (it raises PrecisionError) and the guided builder's default retry budget.
+NOT_CAPS = {("precise", "MAX_PREC"), ("constructors", "DEFAULT_MAX_RETRIES")}
+
+
+def modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None))
+
+
+def test_resource_limit_error_raised_only_in_limits():
+    raisers = {
+        name
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and raised_name(node) == "ResourceLimitError"
+    }
+    assert raisers == {"limits"}
+
+
+def test_no_other_module_assigns_a_cap():
+    assigned = {}
+    for name, tree in modules():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and CAP_NAME.search(target.id):
+                    assigned.setdefault(name, set()).add(target.id)
+    assert assigned.pop("limits") == CAPS
+    assert {(name, cap) for name, caps in assigned.items() for cap in caps} == NOT_CAPS

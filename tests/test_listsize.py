@@ -34,8 +34,8 @@ from listdec import (
 from listdec import listsize, precise
 from listdec.counting import binary_entropy
 from listdec.gf2 import ball_masks
+from listdec.limits import SCATTER_MAX
 from listdec.listsize import (
-    SCATTER_MAX,
     certify_table,
     coset_counts,
     coset_pair_weights,
@@ -613,7 +613,7 @@ class TestCosetStepEngine:
         def unreachable(*args):
             raise AssertionError("ball built before the cap")
 
-        monkeypatch.setattr(listsize, "hamming_ball", unreachable)
+        monkeypatch.setattr(listsize, "ball_masks", unreachable)
         with pytest.raises(ResourceLimitError):
             check_potential_step(code_from_ints(20, (1, 2, 4)), 0.5, 1)
 

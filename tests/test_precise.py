@@ -95,9 +95,10 @@ class TestScatterChunking:
             scatter_table(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 27)
 
     def test_profile_cap_via_code(self):
-        code = LinearCode(27, (BitVector(27, 1),))
+        # Vol(62, 6) = 68,543,140 words, over the 2^26-word ball cap.
+        code = LinearCode(62, (BitVector(62, 1),))
         with pytest.raises(ResourceLimitError):
-            list_profile(code, 1)
+            list_profile(code, 6)
 
 
 class TestPotentialExtremes:
