@@ -182,6 +182,12 @@ def cmd_certify(params: dict, master_seed, trials):
     return result, EXIT_OK if cert.decodable else EXIT_WITNESS, None
 
 
+def word_strings(table) -> list[str]:
+    """A code table's words as bit strings, rendered from its int64 array
+    (no BitVector per message)."""
+    return [format(w, f"0{table.n}b") for w in table.array.tolist()]
+
+
 def cmd_construct(params: dict, master_seed, trials):
     need(params, "kind")
     kind = params["kind"]
@@ -199,7 +205,7 @@ def cmd_construct(params: dict, master_seed, trials):
     elif kind == "uniform":
         need(params, "messages")
         built = constructors.uniform_random_code(n, params["messages"], rng)
-        result["words"] = [w.to_string() for w in built.words]
+        result["words"] = word_strings(built)
     elif kind == "guided":
         need(params, "k", "radius", "epsilon")
         try:
@@ -242,10 +248,10 @@ def cmd_construct(params: dict, master_seed, trials):
             )
         except ConstructionError as exc:
             result["error"] = str(exc)
-            result["words"] = [w.to_string() for w in exc.partial.words]
+            result["words"] = word_strings(exc.partial)
             return result, EXIT_WITNESS, None
         built = mt.code
-        result["words"] = [w.to_string() for w in built.words]
+        result["words"] = word_strings(built)
         result["rounds"] = mt.rounds
     else:
         raise InvalidParameterError(f"unknown construct kind {kind!r}")
@@ -447,7 +453,7 @@ def _sweep_cell(experiment: str, cell: dict, master_seed: int, cell_index: int, 
         return {
             "status": "ok",
             "decodable": cert.decodable,
-            "max_list": cert.max_list,
+            "max_seen": cert.max_list,
             "witness": cert.witness.to_string() if cert.witness is not None else "",
         }
     if experiment == "qbound":

@@ -13,7 +13,8 @@ codes, so every entry point below serves both metrics.  Two engines compute L:
   check_potential_step of a linear code, the guided constructor, verify_trace
   and the linear family of the separation experiment use it.  In the step
   check the weight row of a candidate b depends only on the coset of b, and
-  coset_pair_weights builds all 2^(n-k) rows exactly from pairs of cosets;
+  coset_pair_weights builds all 2^(n-k) rows exactly from pairs of cosets,
+  counted one pair of list-size levels at a time;
 - the 2^n scatter table (scatter_table), which scatters each codeword's ball
   into one counter per center.  It serves code tables (certify, list_profile,
   the Moser-Tardos rounds, the uniform family of the separation experiment),
@@ -184,21 +185,28 @@ def scatter_table(
     size = 1 << universe_bits
     if len(words) == 0 or len(ball) == 0:
         return np.zeros(size, dtype=np.int64)
-    chunk = max(1, chunk_pairs // max(1, len(ball)))
-    # The first chunk's bincount becomes the table, so no zeroed table is held
-    # beside it: at n = 18 a one-chunk call peaks at 2.6 MiB, not 4.6 MiB.
-    # Above glibc's 4 MiB trim threshold, whether the freed pages went back
-    # to the system after each call (and were faulted in again) depended on
-    # the heap layout, which made op times bimodal.
-    table = None
-    for start in range(0, len(words), chunk):
-        part = words[start : start + chunk]
-        counts = np.bincount((part[:, None] ^ ball[None, :]).ravel(), minlength=size)
-        if table is None:
-            table = counts
+    return xor_counts(words, ball, size, chunk_pairs)
+
+
+def xor_counts(left: np.ndarray, right: np.ndarray, size: int, chunk_pairs: int) -> np.ndarray:
+    """cnt[c] = #{(i, j) in left x right : i ^ j = c} for c < size, from one
+    bincount of the outer XOR per chunk of at most chunk_pairs pairs.
+
+    The first chunk's bincount becomes the result, so no zeroed array is held
+    beside it: at n = 18 a one-chunk scatter table peaks at 2.6 MiB, not
+    4.6 MiB.  Above glibc's 4 MiB trim threshold, whether the freed pages went
+    back to the system after each call (and were faulted in again) depended on
+    the heap layout, which made op times bimodal."""
+    chunk = max(1, chunk_pairs // len(right))
+    counts = None
+    for start in range(0, len(left), chunk):
+        pairs = left[start : start + chunk, None] ^ right[None, :]
+        part = np.bincount(pairs.ravel(), minlength=size)
+        if counts is None:
+            counts = part
         else:
-            table += counts
-    return table
+            counts += part
+    return counts
 
 
 def profile_from_table(table: np.ndarray, block_length: int, radius: int) -> ListProfile:
@@ -455,37 +463,44 @@ def coset_pair_weights(table: np.ndarray, chunk_pairs: int = CHUNK_PAIRS) -> np.
 
     table holds L of every coset, indexed by quotient_index.  L_{C+b}(x) =
     L(x) + L(x + b), so 2^dim rows[c] is the weight row #{x : L(x) + L(x + b)
-    = s} of every b in the coset c.  With v the most common list size and D
-    the cosets whose list size is not v, every ordered pair (i, j) in D, i = j
-    included (that is c = 0), puts L_i + L_j in the class i ^ j; a coset of D
-    whose partner lies outside D puts L_i + v there, on either side; the rest
-    put 2v.  Only |D|^2 pairs are enumerated: D is the nonempty cosets when
-    most cosets are empty, and none at all when L is constant.  chunk_pairs
-    bounds the transient pair arrays."""
+    = s} of every b in the coset c.  Let v be the most common list size, D
+    the cosets whose list size is not v, and D_a those with list size a.  For
+    each unordered pair of levels a <= b, cnt_ab[c] = #{(i, j) in D_a x D_b :
+    i ^ j = c} (i = j included, that is c = 0) is one bincount of the outer
+    XOR; the class c gets f cnt_ab at a + b, f = 1 if a = b and 2 otherwise
+    (both orders).  A coset of D_a whose partner lies outside D puts a + v in
+    its class, on either side, so a + v gets 2|D_a| less 2 cnt_ab for every
+    partner level b (and b + v likewise when a != b); the rest put 2v.  Only
+    |D|^2 pairs are enumerated: D is the nonempty cosets when most cosets are
+    empty, and none at all when L is constant.  chunk_pairs bounds the
+    transient pair arrays.  The rows are accumulated one list size at a time
+    (a width x Q array) and returned as its transpose."""
     hist = np.bincount(table)
     mode = int(np.argmax(hist))
-    dev = np.flatnonzero(table != mode)
-    vals = table[dev]
-    check_count(len(dev) ** 2, SCATTER_MAX, "step check would need {} coset pairs")
+    size = len(table)
+    dev_count = size - int(hist[mode])
+    check_count(dev_count**2, SCATTER_MAX, "step check would need {} coset pairs")
     width = 2 * len(hist) - 1
-    size = width * len(table)
-    check_count(size, MAX_WORDS, "step check needs {} weight counters")
-    both = np.zeros(size, dtype=np.int64)
-    one = np.zeros(size, dtype=np.int64)
-    chunk = max(1, chunk_pairs // max(1, len(dev)))
-    for start in range(0, len(dev), chunk):
-        keys = (dev[start : start + chunk, None] ^ dev[None, :]) * width
-        keys += vals[start : start + chunk, None] + mode
-        one += np.bincount(keys.ravel(), minlength=size)
-        keys += vals[None, :] - mode
-        both += np.bincount(keys.ravel(), minlength=size)
-    # one[c, L_i + v] counts the cosets i of D whose partner i ^ c is in D
-    # too; the others of D pair with a coset outside it.
-    one = one.reshape(-1, width)
-    rows = both.reshape(-1, width) - 2 * one
-    rows += 2 * np.bincount(vals + mode, minlength=width)
-    rows[:, 2 * mode] += len(table) - 2 * len(dev) + one.sum(axis=1)
-    return rows
+    check_count(width * size, MAX_WORDS, "step check needs {} weight counters")
+    cols = np.zeros((width, size), dtype=np.int64)
+    levels = [(int(a), np.flatnonzero(table == a)) for a in np.flatnonzero(hist) if a != mode]
+    for x, (a, left) in enumerate(levels):
+        cols[a + mode] += 2 * len(left)
+        for b, right in levels[x:]:
+            cnt = xor_counts(left, right, size, chunk_pairs)
+            if a == b:
+                cols[2 * a] += cnt
+                cols[2 * mode] += cnt
+                cnt <<= 1
+                cols[a + mode] -= cnt
+            else:
+                cnt <<= 1
+                cols[a + b] += cnt
+                cols[2 * mode] += cnt
+                cols[a + mode] -= cnt
+                cols[b + mode] -= cnt
+    cols[2 * mode] += size - 2 * dev_count
+    return cols.T
 
 
 def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
@@ -493,7 +508,14 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     code by b pushes the potential beyond 1 + 2T + T^1.5, compared against
     sqrt(T).  It runs over the 2^(n - dim) coset classes of b, whose weight
     rows coset_pair_weights gives exactly; the potential exponent scales with
-    the code's block length."""
+    the code's block length.
+
+    Each decision is taken at POTENTIAL_PREC bits (the hypothesis T < 1, the
+    threshold of the float prefilter over the class rows, and P < sqrt(T))
+    when the two sides lie farther apart than STEP_RECHECK_MARGIN, and in
+    certified intervals otherwise.  When S rounds to 1 at 160 bits, T is
+    below that resolution: the report says degenerate, and the classes and
+    P < sqrt(T) are all decided in intervals."""
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
     dim = basis.dim
     quotient_bits = universe_bits - dim
@@ -502,19 +524,8 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
     t_excess = state.excess
-    # Both decisions read the POTENTIAL_PREC value S, not the rounded excess.
-    # S = 1 there only when T is below its resolution (T > 0 for every code,
-    # whose ball holds 0), which is reported as degenerate.  T < 1 is S < 2,
-    # decided in intervals only within the margin.
-    if state.value == 1:
-        return StepReport(
-            hypothesis_met=True,
-            degenerate=True,
-            excess=0.0,
-            probability=Fraction(0),
-            markov_bound=0.0,
-            holds=True,
-        )
+    # Every decision reads the POTENTIAL_PREC value S, not the rounded excess.
+    # T < 1 is S < 2.
     if abs(state.value - 2) > 2 * STEP_RECHECK_MARGIN:
         hypothesis_met = state.value < 2
     else:
@@ -538,32 +549,44 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     def builder_threshold(ctx):
         return one_step_bound(ctx, iv_excess(ctx, profile, epsilon)) * ctx.mpf(2) ** quotient_bits
 
+    def at_potential_prec(ctx):
+        # S carries an absolute error near 2^-POTENTIAL_PREC, so sqrt(T) is
+        # read from it only while T keeps at least half of those bits.
+        t = state.value - 1
+        resolved = t > ctx.mpf(2) ** -(POTENTIAL_PREC // 2)
+        thr = one_step_bound(ctx, t) * ctx.mpf(2) ** quotient_bits
+        return float(thr), float(ctx.sqrt(t)), resolved
+
+    thr, root, resolved = precise.with_mp(at_potential_prec, prec=POTENTIAL_PREC)
     # Float prefilter; only classes within the margin get an interval recheck.
     e_float = epsilon * block_length / (1 + epsilon)
     pows = np.exp2(e_float * np.arange(rows.shape[1]))
     lhs = rows @ pows
-    thr = precise.eval_midpoint(builder_threshold)
     margin = STEP_RECHECK_MARGIN * max(abs(thr), 1.0)
     exceed = lhs > thr + margin
     uncertain = np.flatnonzero(np.abs(lhs - thr) <= margin)
-    # Classes with equal rows decide alike, so each distinct row is rechecked
-    # once: at tiny T every class that no pair reaches falls in the margin.
-    distinct, inverse = np.unique(rows[uncertain], axis=0, return_inverse=True)
-    rechecked = []
-    for row in distinct:
+    if len(uncertain):
+        # Classes with equal rows decide alike, so each distinct row is
+        # rechecked once: at tiny T every class that no pair reaches falls in
+        # the margin.
+        distinct, inverse = np.unique(rows[uncertain], axis=0, return_inverse=True)
+        rechecked = []
+        for row in distinct:
 
-        def builder_lhs(ctx, row=row):
-            weights = ((s, int(w)) for s, w in enumerate(row) if w)
-            return potential_sum(ctx, weights, epsilon, block_length)
+            def builder_lhs(ctx, row=row):
+                weights = ((s, int(w)) for s, w in enumerate(row) if w)
+                return potential_sum(ctx, weights, epsilon, block_length)
 
-        rechecked.append(not precise.certified_le(builder_lhs, builder_threshold))
-    exceed[uncertain] = np.array(rechecked, dtype=bool)[inverse]
+            rechecked.append(not precise.certified_le(builder_lhs, builder_threshold))
+        exceed[uncertain] = np.array(rechecked, dtype=bool)[inverse]
     # Candidates in the code (class 0) leave it unchanged, so they never exceed.
     exceed[0] = False
     probability = Fraction(int(exceed.sum()) << dim, 1 << universe_bits)
     markov = math.sqrt(float(t_excess))
     if probability == 0:
         holds = True
+    elif resolved and abs(float(probability) - root) > STEP_RECHECK_MARGIN * root:
+        holds = probability < root
     else:
         holds = precise.certified_less(
             lambda ctx: precise.iv_fraction(ctx, probability),
@@ -571,7 +594,7 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
         )
     return StepReport(
         hypothesis_met=True,
-        degenerate=False,
+        degenerate=state.value == 1,
         excess=float(t_excess),
         probability=probability,
         markov_bound=markov,

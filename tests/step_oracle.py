@@ -2,8 +2,10 @@
 
 It builds the 2^N list-size table, gets the weight row of every candidate b
 from XOR correlations (an int64 Walsh-Hadamard transform, exact by
-construction), and runs the same float prefilter, interval recheck and Markov
-comparison over all 2^N candidates.
+construction), and runs a float prefilter against the midpoint of the
+interval threshold, an interval recheck within the margin and an interval
+Markov comparison over all 2^N candidates.  class_pair_counts is the
+brute-force twin of the engine's per-class pair counts.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def pair_sum_weights(table: np.ndarray) -> np.ndarray:
     return weights
 
 
+def class_pair_counts(table: np.ndarray) -> np.ndarray:
+    """rows[c, s] = #{u : L(u) + L(u ^ c) = s}, counted class by class: the
+    brute-force twin of listsize.coset_pair_weights."""
+    size = len(table)
+    width = 2 * int(table.max()) + 1
+    idx = np.arange(size, dtype=np.int64)
+    return np.array([np.bincount(table + table[idx ^ c], minlength=width) for c in range(size)])
+
+
 def step_check_from_table(
     table: np.ndarray,
     block_length: int,
@@ -79,15 +90,6 @@ def step_check_from_table(
         raise ResourceLimitError(f"step check capped at 2^{PAIR_CHECK_MAX_BITS} candidates")
     state = potential(profile, epsilon)
     t_excess = state.excess
-    if t_excess == 0:
-        return StepReport(
-            hypothesis_met=True,
-            degenerate=True,
-            excess=0.0,
-            probability=Fraction(0),
-            markov_bound=0.0,
-            holds=True,
-        )
     if not t_excess < 1:
         return StepReport(
             hypothesis_met=False,
@@ -138,9 +140,10 @@ def step_check_from_table(
             lambda ctx: precise.iv_fraction(ctx, probability),
             lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
         )
+    # T below the 160-bit resolution is flagged, and decided all the same.
     return StepReport(
         hypothesis_met=True,
-        degenerate=False,
+        degenerate=t_excess == 0,
         excess=float(t_excess),
         probability=probability,
         markov_bound=markov,
@@ -152,11 +155,12 @@ def affordable(report: StepReport, basis, ball: np.ndarray, universe_bits: int) 
     """Whether the oracle finishes quickly where the engine gave report:
     pair_sum_weights takes about (vmax + 1)^2 / 2 transforms of
     2^universe_bits entries, vmax the largest list size, and below T = 1e-5
-    the float prefilter leaves nearly every candidate to an interval recheck."""
+    (degenerate reports included) the float prefilter leaves nearly every
+    candidate to an interval recheck."""
     _, mult = coset_counts(basis, ball)
     if (int(mult.max()) + 1) ** 2 << universe_bits > 1 << 22:
         return False
-    return report.degenerate or not report.hypothesis_met or report.excess >= 1e-5
+    return not report.hypothesis_met or report.excess >= 1e-5
 
 
 def dense_potential_step(code, epsilon: float, radius: int) -> StepReport:

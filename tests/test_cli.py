@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -323,6 +324,23 @@ class TestSweep:
         lines = out.read_text().splitlines()
         rows = [ln for ln in lines if not ln.startswith("#")]
         assert len(rows) == 2  # header + one cell
+
+    def test_budget_column_kept_beside_the_list_size(self, tmp_path):
+        # The certify outcome's largest list size goes to max_seen, so the
+        # max_list column is the cell's budget in ok and failed rows alike.
+        grid = {
+            "experiment": "certify",
+            "base": {"n": 27, "k": 3, "radius": 1, "max_list": 2, "messages": 8},
+            "grid": {"family": ["linear", "uniform"]},
+            "master_seed": 5,
+        }
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--grid", self.write_grid(tmp_path, grid), "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        linear, uniform = csv.DictReader(lines)
+        assert linear["status"] == "ok" and linear["max_seen"] == "1"
+        assert uniform["status"].startswith("resource-limit") and uniform["max_seen"] == ""
+        assert linear["max_list"] == uniform["max_list"] == "2"
 
     def test_qbound_columns(self, tmp_path):
         grid = {

@@ -36,6 +36,7 @@ from listdec.counting import binary_entropy
 from listdec.gf2 import ball_masks
 from listdec.limits import SCATTER_MAX
 from listdec.listsize import (
+    StepReport,
     certify_table,
     coset_counts,
     coset_pair_weights,
@@ -48,6 +49,7 @@ from listdec.listsize import (
 from naive_oracle import list_profile_naive, naive_table
 from step_oracle import (
     affordable,
+    class_pair_counts,
     dense_potential_step,
     pair_sum_weights,
     step_check_from_table,
@@ -533,6 +535,47 @@ def weight_rows(code, radius: int, chunk_pairs: int = 1 << 24) -> np.ndarray:
     return rows[classes] << basis.dim
 
 
+@st.composite
+def level_tables(draw):
+    """A list-size table over 2^q classes with 1 to 6 levels (constant tables
+    included), often with a nonzero most common level, and a chunk size
+    often below one level group."""
+    q = draw(st.integers(0, 7))
+    levels = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        cells = st.lists(st.sampled_from(levels), min_size=1 << q, max_size=1 << q)
+        table = np.array(draw(cells), dtype=np.int64)
+    else:
+        # One level everywhere but at a few classes.
+        table = np.full(1 << q, levels[0], dtype=np.int64)
+        moved = st.tuples(st.integers(0, (1 << q) - 1), st.sampled_from(levels))
+        for c, level in draw(st.lists(moved, max_size=1 << q)):
+            table[c] = level
+    return table, draw(st.sampled_from([1, 2, 5, 1 << 24]))
+
+
+class TestCosetPairWeights:
+    """coset_pair_weights against the brute-force count of every class."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(level_tables())
+    def test_matches_class_by_class_count(self, drawn):
+        table, chunk_pairs = drawn
+        assert (coset_pair_weights(table, chunk_pairs) == class_pair_counts(table)).all()
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 3, 1 << 24])
+    @pytest.mark.parametrize(
+        "levels", [{}, {0: [1, 7, 20, 33, 60], 1: [2, 3, 5, 11, 13], 5: [40, 63]}]
+    )
+    def test_nonzero_mode(self, levels, chunk_pairs):
+        # Mode 2 on 64 classes, constant or with three more levels; chunks of
+        # 1 and 3 pairs split every level group.
+        table = np.full(64, 2, dtype=np.int64)
+        for level, classes in levels.items():
+            table[classes] = level
+        assert (coset_pair_weights(table, chunk_pairs) == class_pair_counts(table)).all()
+
+
 class TestCosetStepEngine:
     """check_potential_step against the dense oracle over all 2^n candidates."""
 
@@ -603,11 +646,46 @@ class TestCosetStepEngine:
         monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
         assert check_potential_step(code, eps, 1) == prefiltered
 
-    def test_degenerate_at_tiny_epsilon(self):
+    @settings(max_examples=25, deadline=None)
+    @given(step_codes(9))
+    def test_decided_alike_in_intervals(self, drawn):
+        # With an infinite margin the hypothesis, the prefilter's threshold,
+        # every class and P < sqrt(T) are all decided in intervals.
+        code, radius, eps = drawn
+        report = check_potential_step(code, eps, radius)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+            assert check_potential_step(code, eps, radius) == report
+
+    def test_degenerate_at_tiny_epsilon(self, monkeypatch):
+        # S rounds to 1 at 160 bits: T is below that resolution, and every
+        # class and P < sqrt(T) are decided in intervals.
         code = code_from_ints(6, (0b100101,))
         report = check_potential_step(code, 1e-300, 2)
-        assert report.degenerate
+        assert report == StepReport(
+            hypothesis_met=True,
+            degenerate=True,
+            excess=0.0,
+            probability=Fraction(0),
+            markov_bound=0.0,
+            holds=True,
+        )
         assert report == dense_potential_step(code, 1e-300, 2)
+        # Every recheck answering "exceeds": the flag stays, and the count
+        # and P < sqrt(T) follow the rechecks.
+        monkeypatch.setattr(precise, "certified_le", lambda lhs, rhs: False)
+        markov_calls = []
+        real_less = precise.certified_less
+
+        def recorded_less(lhs, rhs):
+            markov_calls.append(lhs)
+            return real_less(lhs, rhs)
+
+        monkeypatch.setattr(precise, "certified_less", recorded_less)
+        forced = check_potential_step(code, 1e-300, 2)
+        assert forced.degenerate and not forced.holds
+        assert forced.probability == Fraction(62, 64)
+        assert len(markov_calls) == 1
 
     def test_oversized_quotient_raises_at_once(self, monkeypatch):
         def unreachable(*args):

@@ -31,7 +31,7 @@ from listdec import (
     rank_distance,
     tail_stats,
 )
-from listdec import listsize, rankmetric
+from listdec import listsize, precise, rankmetric
 from listdec.cli import main as cli_main
 from listdec.gf2 import rank_of_ints
 from listdec.listsize import certify_table, profile_from_table
@@ -354,6 +354,34 @@ class TestRankStepEngine:
         report = check_potential_step(code, eps, radius)
         assume(affordable(report, code.basis, ball, params.universe_bits))
         assert report == dense_potential_step(code, eps, radius)
+
+    @settings(max_examples=25, deadline=None)
+    @given(step_rank_codes())
+    def test_decided_alike_in_intervals(self, drawn):
+        # With an infinite margin the hypothesis, the prefilter's threshold,
+        # every class and P < sqrt(T) are all decided in intervals.
+        code, radius, eps = drawn
+        assume(code.params.universe_bits - code.basis.dim <= 10)
+        report = check_potential_step(code, eps, radius)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+            assert check_potential_step(code, eps, radius) == report
+
+    def test_benchmark_shape_decided_at_potential_prec(self, monkeypatch):
+        # 4 x 4 codes of dimension 4 at radius 1 and epsilon 0.5: every
+        # decision lies far outside its margin, so none runs in intervals.
+        calls = []
+        real = precise.certified
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(precise, "certified", counted)
+        codes = [random_linear_rank_code(RankParams(4, 4, 1), 4, Rng(70, i)) for i in range(20)]
+        reports = [check_potential_step(code, 0.5, 1) for code in codes]
+        assert calls == []
+        assert sum(report.probability > 0 for report in reports) >= 10
 
     def test_benchmark_shape_sweep(self):
         # 4 x 4 codes of dimension 4 at radius 1 and epsilon 0.5.
