@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import limits, precise
+from . import limits, listsize, precise
 from .counting import hamming_volume
 from .errors import ConstructionError, InvalidParameterError
 from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
@@ -26,14 +26,12 @@ from .listsize import (
     iv_excess,
     list_profile,
     one_step_bound,
+    outer_xor_chunks,
     potential,
     scatter_table,
 )
 
 DEFAULT_MAX_RETRIES = 64
-# Relative distance of the two sides of a guided accept below which the
-# POTENTIAL_PREC comparison is decided again; its own error is far smaller.
-RECHECK_MARGIN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +137,7 @@ def potential_guided_code(
     reduced modulo C) gives the least coset elements of span(C, b), so a
     candidate costs O(|B| log |B|) whatever n is.  The accept is decided at
     POTENTIAL_PREC bits, and again, exactly or in certified intervals, when
-    the two sides are within RECHECK_MARGIN of each other.
+    the two sides are within listsize.RECHECK_MARGIN of each other.
     """
     if not 0 <= k <= n:
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
@@ -210,10 +208,11 @@ def _accepts(profile, cand_profile, value, threshold, epsilon: float, rule: str)
     """S(cand_profile) <= the rule's threshold on profile.
 
     value and threshold are the two sides at POTENTIAL_PREC bits; their
-    comparison decides unless they are within RECHECK_MARGIN.  Then two equal
-    sides accept, decided exactly, and unequal ones are compared in certified
-    intervals, which terminates because they differ."""
-    if abs(value - threshold) > threshold * RECHECK_MARGIN:
+    comparison decides unless they are within listsize.RECHECK_MARGIN (read
+    at call time).  Then two equal sides accept, decided exactly, and unequal
+    ones are compared in certified intervals, which terminates because they
+    differ."""
+    if abs(value - threshold) > threshold * listsize.RECHECK_MARGIN:
         return value <= threshold
     e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
     if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
@@ -333,14 +332,6 @@ class MoserTardosResult:
     events: tuple[ResampleEvent, ...]
 
 
-def _ball_centers(words: np.ndarray, ball: np.ndarray):
-    """Every center x ^ e for x in words, e in ball, in chunks of at most
-    limits.CHUNK_PAIRS entries (duplicates kept: one entry per word-ball pair)."""
-    chunk = max(1, limits.CHUNK_PAIRS // len(ball))
-    for start in range(0, len(words), chunk):
-        yield (words[start : start + chunk, None] ^ ball[None, :]).ravel()
-
-
 def moser_tardos_construct(
     n: int,
     radius: int,
@@ -397,12 +388,12 @@ def moser_tardos_construct(
         old = words[inside]
         fresh = rng.bit_array(n, len(inside))
         words[inside] = fresh
-        for centers in _ball_centers(old, ball):
+        for centers in outer_xor_chunks(old, ball, limits.CHUNK_PAIRS):
             np.subtract.at(table, centers, 1)
         # Only centers in a fresh ball gained, and the adds never lower a
         # count, so a center that turns overfull crosses max_list in exactly
         # one chunk; one still overfull after the subtraction is queued already.
-        for centers in _ball_centers(fresh, ball):
+        for centers in outer_xor_chunks(fresh, ball, limits.CHUNK_PAIRS):
             below = table[centers] <= max_list
             np.add.at(table, centers, 1)
             for c in set(centers[below & (table[centers] > max_list)].tolist()):

@@ -5,28 +5,34 @@ of the code's 2^n words (n = code.n).  The metric belongs to the code: its
 ball(radius), the potential's block_length, weight_array (the weights of
 packed words, for the witness recount) and witness(word).  HammingMetric
 supplies them for LinearCode and code tables, rankmetric.RankCode for rank
-codes, so every entry point below serves both metrics.  Two engines compute L:
+codes, so every entry point below serves both metrics.
+
+Every consumer reads L through one view, list_sizes(code, radius) ->
+(centers, sizes, dim): sizes[i] is L at centers[i] and on the rest of its
+coset of a span of dimension dim (2^dim centers), centers ascend, and every
+center not listed has L = 0.  Two engines produce it:
 
 - the coset engine (coset_counts) for GF(2)-linear codes, those with a basis:
   L is constant on the cosets of C, so reducing the |B| ball words modulo C
-  gives every list size without a 2^n object.  list_profile, certify and
-  check_potential_step of a linear code, the guided constructor, verify_trace
-  and the linear family of the separation experiment use it.  In the step
-  check the weight row of a candidate b depends only on the coset of b, and
-  coset_pair_weights builds all 2^(n-k) rows exactly from pairs of cosets,
-  counted one pair of list-size levels at a time;
+  gives every list size without a 2^n object; the view is (least coset
+  elements, multiplicities, dim C).  The guided constructor scores its
+  candidates with the same engine.  In the step check the weight row of a
+  candidate b depends only on the coset of b, and coset_pair_weights builds
+  all 2^(n-k) rows exactly from pairs of cosets, counted one pair of
+  list-size levels at a time;
 - the 2^n scatter table (scatter_table), which scatters each codeword's ball
-  into one counter per center.  It serves code tables (certify, list_profile,
-  the Moser-Tardos rounds, the uniform family of the separation experiment),
-  every caller that needs L per center (list_size_table, check_sum_rule), and
-  the tests as the oracle.
+  into one counter per center.  It serves code tables, whose view is
+  (range(2^n), the table, 0), the Moser-Tardos rounds, every caller that
+  needs L per center (list_size_table, check_sum_rule), and the tests as the
+  oracle.
 
-Histograms, tail statistics, potentials and the analytic inequality checks
-derive from the profile.  Every potential sum, at 160 bits or in intervals,
-reads its powers 2^(e ell) from potential_power, a bounded cache keyed by the
-mpmath context, its precision, epsilon, the block length and ell, so each
-term is one multiply-add and each value is bit-identical to the power
-evaluated afresh.
+list_profile, certify and the separation experiment's maximum list read the
+view alone, so they do not know which engine ran.  Histograms, tail
+statistics, potentials and the analytic inequality checks derive from the
+profile.  Every potential sum, at 160 bits or in intervals, reads its powers
+2^(e ell) from potential_power, a bounded cache keyed by the mpmath context,
+its precision, epsilon, the block length and ell, so each term is one
+multiply-add and each value is bit-identical to the power evaluated afresh.
 """
 
 from __future__ import annotations
@@ -46,9 +52,10 @@ POTENTIAL_PREC = 160
 # Entries of the potential_power cache: one per (context, precision, epsilon,
 # block length, list size), a few hundred bytes each.
 POWER_CACHE_SIZE = 1024
-# Relative margin of the step check's float prefilter; classes within it are
-# decided in certified intervals.
-STEP_RECHECK_MARGIN = 1e-9
+# Relative distance of two sides of a decision below which their comparison
+# at POTENTIAL_PREC bits (or in floats, in the step check's prefilter) is
+# decided again, exactly or in certified intervals.
+RECHECK_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -188,37 +195,32 @@ def scatter_table(
     return xor_counts(words, ball, size, chunk_pairs)
 
 
+def outer_xor_chunks(left: np.ndarray, right: np.ndarray, chunk_pairs: int):
+    """Every left[i] ^ right[j], row-major and duplicates kept, as flat arrays
+    of whole rows, at most chunk_pairs entries each (one row if a row is
+    longer)."""
+    chunk = max(1, chunk_pairs // len(right))
+    for start in range(0, len(left), chunk):
+        yield (left[start : start + chunk, None] ^ right[None, :]).ravel()
+
+
 def xor_counts(left: np.ndarray, right: np.ndarray, size: int, chunk_pairs: int) -> np.ndarray:
     """cnt[c] = #{(i, j) in left x right : i ^ j = c} for c < size, from one
-    bincount of the outer XOR per chunk of at most chunk_pairs pairs.
+    bincount per chunk of outer_xor_chunks.
 
     The first chunk's bincount becomes the result, so no zeroed array is held
     beside it: at n = 18 a one-chunk scatter table peaks at 2.6 MiB, not
     4.6 MiB.  Above glibc's 4 MiB trim threshold, whether the freed pages went
     back to the system after each call (and were faulted in again) depended on
     the heap layout, which made op times bimodal."""
-    chunk = max(1, chunk_pairs // len(right))
     counts = None
-    for start in range(0, len(left), chunk):
-        pairs = left[start : start + chunk, None] ^ right[None, :]
-        part = np.bincount(pairs.ravel(), minlength=size)
+    for pairs in outer_xor_chunks(left, right, chunk_pairs):
+        part = np.bincount(pairs, minlength=size)
         if counts is None:
             counts = part
         else:
             counts += part
     return counts
-
-
-def profile_from_table(table: np.ndarray, block_length: int, radius: int) -> ListProfile:
-    universe_bits = int(len(table)).bit_length() - 1
-    hist = np.bincount(table)
-    counts = tuple((ell, int(c)) for ell, c in enumerate(hist) if c > 0)
-    return ListProfile(
-        universe_bits=universe_bits,
-        block_length=block_length,
-        radius=radius,
-        counts=counts,
-    )
 
 
 def coset_reduce(basis: SpanBasis, words: np.ndarray) -> np.ndarray:
@@ -245,11 +247,12 @@ def coset_counts(basis: SpanBasis, ball: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def coset_profile(
-    mult: np.ndarray, dim: int, universe_bits: int, block_length: int, radius: int
+    sizes: np.ndarray, dim: int, universe_bits: int, block_length: int, radius: int
 ) -> ListProfile:
-    """The profile from coset multiplicities: each coset has 2^dim centers."""
-    hist = np.bincount(mult)
-    counts = [(0, (1 << universe_bits) - (len(mult) << dim))]
+    """The profile of a list_sizes view: each listed size holds on 2^dim
+    centers, and every center not listed has L = 0."""
+    hist = np.bincount(sizes)
+    counts = [(0, (1 << universe_bits) - ((len(sizes) - int(hist[0])) << dim))]
     counts += [(ell, int(c) << dim) for ell, c in enumerate(hist) if ell > 0]
     return ListProfile(
         universe_bits=universe_bits,
@@ -259,17 +262,6 @@ def coset_profile(
     )
 
 
-def certify_cosets(
-    reps: np.ndarray, mult: np.ndarray, max_list: int
-) -> tuple[bool, int | None, int]:
-    """certify_table's contract on coset counts: reps are the least elements
-    of their cosets, so the least witness is the least rep over max_list."""
-    max_seen = int(mult.max())
-    if max_seen <= max_list:
-        return True, None, max_seen
-    return False, int(reps[np.argmax(mult > max_list)]), max_seen
-
-
 def list_size_table(code, radius: int) -> np.ndarray:
     """L[x] for every center x of the code's universe, via codeword-ball scatter;
     the 2^n table is capped before the codewords or the ball are built."""
@@ -277,13 +269,24 @@ def list_size_table(code, radius: int) -> np.ndarray:
     return scatter_table(code.codeword_array(), code.ball(radius), code.n)
 
 
-def list_profile(code, radius: int) -> ListProfile:
-    """Linear codes go through the coset engine, code tables through a
-    2^n scatter table."""
+def list_sizes(code, radius: int) -> tuple[range | np.ndarray, np.ndarray, int]:
+    """(centers, sizes, dim): sizes[i] is L at centers[i] and on the rest of
+    its coset of a dim-dimensional span, 2^dim centers in all.  centers
+    ascend, and every center not listed has L = 0.
+
+    A linear code (one with a basis) goes through the coset engine, whose
+    reps are the least elements of their cosets; a code table through the
+    dense 2^n scatter table, every center listed, dim 0."""
     if hasattr(code, "basis"):
-        _, mult = coset_counts(code.basis, code.ball(radius))
-        return coset_profile(mult, code.effective_dim, code.n, code.block_length, radius)
-    return profile_from_table(list_size_table(code, radius), code.block_length, radius)
+        reps, mult = coset_counts(code.basis, code.ball(radius))
+        return reps, mult, code.basis.dim
+    return range(1 << code.n), list_size_table(code, radius), 0
+
+
+def list_profile(code, radius: int) -> ListProfile:
+    """The histogram of L over all 2^n centers, from list_sizes."""
+    _, sizes, dim = list_sizes(code, radius)
+    return coset_profile(sizes, dim, code.n, code.block_length, radius)
 
 
 def recount_center(code, center: int, radius: int) -> int:
@@ -293,34 +296,22 @@ def recount_center(code, center: int, radius: int) -> int:
     return int(np.count_nonzero(code.weight_array(diffs) <= radius))
 
 
-def certify_table(table: np.ndarray, max_list: int) -> tuple[bool, int | None, int]:
-    max_seen = int(table.max()) if len(table) else 0
-    if max_seen <= max_list:
-        return True, None, max_seen
-    witness = int(np.argmax(table > max_list))
-    return False, witness, max_seen
-
-
 def certify(code, radius: int, max_list: int) -> Certificate:
-    """Decide (radius, max_list)-list-decodability; witness is the least center.
-
-    Linear codes go through the coset engine, code tables through a 2^n
-    scatter table; a witness is recounted from the codewords either way."""
-    if hasattr(code, "basis"):
-        reps, mult = coset_counts(code.basis, code.ball(radius))
-        ok, witness_int, max_seen = certify_cosets(reps, mult, max_list)
-        listed = None if ok else int(mult[np.searchsorted(reps, witness_int)])
-    else:
-        table = list_size_table(code, radius)
-        ok, witness_int, max_seen = certify_table(table, max_list)
-        listed = None if ok else int(table[witness_int])
+    """Decide (radius, max_list)-list-decodability from list_sizes.  The
+    witness is the least center over max_list: the first listed one, since
+    centers ascend and each is the least of its coset.  It is recounted from
+    the codewords."""
+    centers, sizes, _ = list_sizes(code, radius)
+    max_seen = int(sizes.max())
     witness = None
-    if not ok:
-        if recount_center(code, witness_int, radius) != listed:
+    if max_seen > max_list:
+        i = int(np.argmax(sizes > max_list))
+        center = int(centers[i])
+        if recount_center(code, center, radius) != sizes[i]:
             raise AssertionError("witness recount disagrees with the list-size count")
-        witness = code.witness(witness_int)
+        witness = code.witness(center)
     return Certificate(
-        decodable=ok, witness=witness, checked_count=1 << code.n, max_list=max_seen
+        decodable=witness is None, witness=witness, checked_count=1 << code.n, max_list=max_seen
     )
 
 
@@ -512,21 +503,20 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
 
     Each decision is taken at POTENTIAL_PREC bits (the hypothesis T < 1, the
     threshold of the float prefilter over the class rows, and P < sqrt(T))
-    when the two sides lie farther apart than STEP_RECHECK_MARGIN, and in
+    when the two sides lie farther apart than RECHECK_MARGIN, and in
     certified intervals otherwise.  When S rounds to 1 at 160 bits, T is
     below that resolution: the report says degenerate, and the classes and
     P < sqrt(T) are all decided in intervals."""
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
-    dim = basis.dim
-    quotient_bits = universe_bits - dim
+    quotient_bits = universe_bits - basis.dim
     check_bits(quotient_bits, 1 << PAIR_CHECK_MAX_BITS, "step check needs {} coset classes")
-    reps, mult = coset_counts(basis, code.ball(radius))
+    reps, mult, dim = list_sizes(code, radius)
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
     t_excess = state.excess
     # Every decision reads the POTENTIAL_PREC value S, not the rounded excess.
     # T < 1 is S < 2.
-    if abs(state.value - 2) > 2 * STEP_RECHECK_MARGIN:
+    if abs(state.value - 2) > 2 * RECHECK_MARGIN:
         hypothesis_met = state.value < 2
     else:
         hypothesis_met = precise.certified_less(
@@ -562,7 +552,7 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     e_float = epsilon * block_length / (1 + epsilon)
     pows = np.exp2(e_float * np.arange(rows.shape[1]))
     lhs = rows @ pows
-    margin = STEP_RECHECK_MARGIN * max(abs(thr), 1.0)
+    margin = RECHECK_MARGIN * max(abs(thr), 1.0)
     exceed = lhs > thr + margin
     uncertain = np.flatnonzero(np.abs(lhs - thr) <= margin)
     if len(uncertain):
@@ -585,7 +575,7 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     markov = math.sqrt(float(t_excess))
     if probability == 0:
         holds = True
-    elif resolved and abs(float(probability) - root) > STEP_RECHECK_MARGIN * root:
+    elif resolved and abs(float(probability) - root) > RECHECK_MARGIN * root:
         holds = probability < root
     else:
         holds = precise.certified_less(

@@ -22,7 +22,7 @@ from .counting import (
 from .constructors import random_linear_code, uniform_random_code
 from .errors import InvalidParameterError
 from .gf2 import Rng
-from .listsize import check_scatter_caps, coset_counts, list_size_table
+from .listsize import check_scatter_caps, list_sizes
 
 
 def ball_fraction(n: int, radius: int) -> Fraction:
@@ -247,17 +247,11 @@ class SeparationResult:
 
 
 def _max_list_and_witness(code, radius: int) -> tuple[int, str]:
-    """The maximum list size and the least center that attains it: by the
-    coset engine for a linear code, by a 2^n scatter table for a code table."""
-    if hasattr(code, "basis"):
-        reps, mult = coset_counts(code.basis, code.ball(radius))
-        top = int(mult.max())
-        witness = int(reps[np.argmax(mult == top)])
-    else:
-        table = list_size_table(code, radius)
-        top = int(table.max())
-        witness = int(np.argmax(table == top))
-    return top, format(witness, f"0{code.n}b")
+    """The maximum list size and the least center that attains it, read from
+    list_sizes: the first listed center at the top size."""
+    centers, sizes, _ = list_sizes(code, radius)
+    top = int(sizes.max())
+    return top, format(int(centers[int(np.argmax(sizes == top))]), f"0{code.n}b")
 
 
 def separation_experiment(
@@ -275,6 +269,9 @@ def separation_experiment(
         raise InvalidParameterError(
             f"degenerate rate {rate:.4f}: needs k >= 1 and at least 2 messages"
         )
+    if trials:
+        # The uniform table's caps, checked before any code is drawn.
+        check_scatter_caps(n, num_messages * hamming_volume(n, radius))
     rows = []
     linear_max = []
     uniform_max = []
@@ -288,8 +285,6 @@ def separation_experiment(
                 rate=rate, max_list=top, witness=witness,
             )
         )
-        # The uniform table's caps, checked before its words are drawn.
-        check_scatter_caps(n, num_messages * hamming_volume(n, radius))
         table_code = uniform_random_code(n, num_messages, rng.substream(t, 1))
         top, witness = _max_list_and_witness(table_code, radius)
         uniform_max.append(top)

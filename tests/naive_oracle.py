@@ -4,6 +4,9 @@
   gf2.ball_masks;
 - naive_table and list_profile_naive: per-center list sizes by direct
   pairwise distances, the twin of listsize.list_profile;
+- profile_from_table and certify_table: the profile and the certificate read
+  from a dense per-center table, the twins of listsize.list_profile and
+  listsize.certify;
 - rank_table: the rank of every m x n matrix from a row-space automaton, and
   rank_list_profile_naive, the per-center rank recount it serves.
 """
@@ -17,7 +20,7 @@ import numpy as np
 
 from listdec.errors import InvalidParameterError, ResourceLimitError
 from listdec.gf2 import popcount_array
-from listdec.listsize import ListProfile, profile_from_table
+from listdec.listsize import ListProfile
 from listdec.rankmetric import RankCode
 
 NAIVE_MAX_BITS = 16
@@ -36,6 +39,26 @@ def ball_masks_itertools(n: int, radius: int) -> np.ndarray:
         )
         chunks.append(np.array(vals, dtype=np.int64))
     return np.concatenate(chunks)
+
+
+def profile_from_table(table: np.ndarray, block_length: int, radius: int) -> ListProfile:
+    universe_bits = int(len(table)).bit_length() - 1
+    hist = np.bincount(table)
+    counts = tuple((ell, int(c)) for ell, c in enumerate(hist) if c > 0)
+    return ListProfile(
+        universe_bits=universe_bits,
+        block_length=block_length,
+        radius=radius,
+        counts=counts,
+    )
+
+
+def certify_table(table: np.ndarray, max_list: int) -> tuple[bool, int | None, int]:
+    max_seen = int(table.max()) if len(table) else 0
+    if max_seen <= max_list:
+        return True, None, max_seen
+    witness = int(np.argmax(table > max_list))
+    return False, witness, max_seen
 
 
 def naive_table(words: np.ndarray, universe_bits: int, radius: int) -> np.ndarray:

@@ -25,8 +25,8 @@ from listdec.listsize import (
     list_size_table,
     potential,
     potential_exponent,
-    profile_from_table,
 )
+from naive_oracle import profile_from_table
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

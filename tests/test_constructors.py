@@ -30,16 +30,11 @@ from listdec import (
     uniform_random_code,
     verify_trace,
 )
-from listdec import LinearCode, PotentialTrace, constructors, limits, listsize
+from listdec import LinearCode, PotentialTrace, limits, listsize
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
-from listdec.listsize import (
-    HammingMetric,
-    certify_table,
-    potential,
-    profile_from_table,
-    scatter_table,
-)
+from listdec.listsize import HammingMetric, potential, scatter_table
+from naive_oracle import certify_table, profile_from_table
 
 
 class TestRandomLinear:
@@ -362,7 +357,7 @@ class TestGuidedOracle:
     def test_every_accept_rechecked_matches_600_bit_decisions(self, monkeypatch):
         # With no margin left to the prefilter, every accept is decided by the
         # exact tie test or by certified intervals.
-        monkeypatch.setattr(constructors, "RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
         self.sweep_against_oracle()
 
     def test_exact_tie_accepts(self):

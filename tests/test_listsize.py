@@ -33,20 +33,20 @@ from listdec import (
 )
 from listdec import listsize, precise
 from listdec.counting import binary_entropy
-from listdec.gf2 import ball_masks
+from listdec.gf2 import BitMatrix, ball_masks
 from listdec.limits import SCATTER_MAX
 from listdec.listsize import (
     StepReport,
-    certify_table,
     coset_counts,
     coset_pair_weights,
     coset_reduce,
-    profile_from_table,
+    list_sizes,
     quotient_index,
     recount_center,
     scatter_table,
 )
-from naive_oracle import list_profile_naive, naive_table
+from listdec.rankmetric import RankCode, RankParams
+from naive_oracle import certify_table, list_profile_naive, naive_table, profile_from_table
 from step_oracle import (
     affordable,
     class_pair_counts,
@@ -227,6 +227,46 @@ class TestCosetEngine:
         assert (np.diff(reps) > 0).all()
         assert (table[reps] == mult).all()
         assert int(mult.sum()) == hamming_volume(12, 2)
+
+
+@st.composite
+def viewed_codes(draw):
+    """(code, radius) for every kind list_sizes serves: a Hamming linear code
+    (zero and dependent generators among them), a rank code, or a code table
+    with duplicate words, often at a radius that leaves most L at 0."""
+    kind = draw(st.sampled_from(["linear", "rank", "table"]))
+    if kind == "linear":
+        code = draw(linear_codes(12))
+    elif kind == "rank":
+        m = draw(st.integers(1, 4))
+        n = draw(st.integers(1, m))
+        flat = st.integers(0, (1 << (m * n)) - 1)
+        gens = draw(st.lists(flat | st.just(0), max_size=5))
+        radius = draw(st.integers(0, n))
+        params = RankParams(m, n, radius)
+        return RankCode(params, tuple(BitMatrix.from_flat(m, n, g) for g in gens)), radius
+    else:
+        n = draw(st.integers(1, 14))
+        words = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+        if words:
+            words += draw(st.lists(st.sampled_from(words), max_size=4))
+        code = CodeTable(n, np.array(words, dtype=np.int64))
+    return code, draw(st.integers(0, min(2, code.n)) | st.integers(0, code.n))
+
+
+class TestListSizesView:
+    @settings(max_examples=200, deadline=None)
+    @given(viewed_codes())
+    def test_view_matches_dense_table(self, case):
+        code, radius = case
+        centers, sizes, dim = list_sizes(code, radius)
+        centers = np.asarray(centers, dtype=np.int64)
+        dense = list_size_table(code, radius)
+        assert len(centers) == len(sizes)
+        assert (np.diff(centers) > 0).all()
+        assert (dense[centers] == sizes).all()
+        assert int(dense.sum()) == int(sizes.sum()) << dim
+        assert np.count_nonzero(dense) == np.count_nonzero(sizes) << dim
 
 
 class TestCosetConstancy:
@@ -614,13 +654,13 @@ class TestCosetStepEngine:
         assume(affordable(report, code.basis, ball_masks(code.n, radius), code.n))
         assert report == dense_potential_step(code, eps, radius)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+            patch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
             assert check_potential_step(code, eps, radius) == report
 
     def test_seeded_sweep_every_class_rechecked(self, monkeypatch):
         cases = list(seeded_step_codes(20, 8, 36))
         oracles = [dense_potential_step(code, eps, radius) for code, radius, eps in cases]
-        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
         for (code, radius, eps), oracle in zip(cases, oracles):
             assert check_potential_step(code, eps, radius) == oracle
         assert sum(oracle.probability > 0 for oracle in oracles) >= 5
@@ -630,7 +670,7 @@ class TestCosetStepEngine:
         # Every class rechecked and every recheck answering "exceeds": the
         # count is exactly the candidates outside the code.
         code = code_from_ints(n, gens)
-        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
         monkeypatch.setattr(precise, "certified_le", lambda lhs, rhs: False)
         report = check_potential_step(code, 0.2, 1)
         assert report.hypothesis_met
@@ -643,7 +683,7 @@ class TestCosetStepEngine:
         # With an infinite margin T < 1 is always decided in intervals.
         code = code_from_ints(n, gens)
         prefiltered = check_potential_step(code, eps, 1)
-        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
         assert check_potential_step(code, eps, 1) == prefiltered
 
     @settings(max_examples=25, deadline=None)
@@ -654,7 +694,7 @@ class TestCosetStepEngine:
         code, radius, eps = drawn
         report = check_potential_step(code, eps, radius)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+            patch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
             assert check_potential_step(code, eps, radius) == report
 
     def test_degenerate_at_tiny_epsilon(self, monkeypatch):

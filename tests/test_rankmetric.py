@@ -34,9 +34,8 @@ from listdec import (
 from listdec import listsize, precise, rankmetric
 from listdec.cli import main as cli_main
 from listdec.gf2 import rank_of_ints
-from listdec.listsize import certify_table, profile_from_table
 from listdec.rankmetric import rank_array, rank_ball_masks
-from naive_oracle import rank_list_profile_naive, rank_table
+from naive_oracle import certify_table, profile_from_table, rank_list_profile_naive, rank_table
 from step_oracle import affordable, dense_potential_step
 
 
@@ -364,7 +363,7 @@ class TestRankStepEngine:
         assume(code.params.universe_bits - code.basis.dim <= 10)
         report = check_potential_step(code, eps, radius)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+            patch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
             assert check_potential_step(code, eps, radius) == report
 
     def test_benchmark_shape_decided_at_potential_prec(self, monkeypatch):
@@ -401,7 +400,7 @@ class TestRankStepEngine:
             code = random_linear_rank_code(RankParams(m, n, 1), rng.integer(0, 4), rng.substream(i))
             eps = rng.uniform(0.3, 0.8)
             cases.append((code, eps, dense_potential_step(code, eps, 1)))
-        monkeypatch.setattr(listsize, "STEP_RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
         for code, eps, oracle in cases:
             assert check_potential_step(code, eps, 1) == oracle
         assert sum(oracle.probability > 0 for _, _, oracle in cases) >= 6

@@ -10,6 +10,7 @@ import pytest
 
 from listdec import (
     InvalidParameterError,
+    ResourceLimitError,
     Rng,
     ball_fraction,
     check_rank_rate_bound,
@@ -23,6 +24,7 @@ from listdec import (
     separation_experiment,
     uniform_random_code,
 )
+from listdec import secondmoment
 from listdec.gf2 import popcount_array
 from listdec.listsize import list_size_table
 
@@ -229,6 +231,24 @@ class TestSeparationExperiment:
         result = separation_experiment(14, 1, 0.25, 0, Rng(90, 0))
         assert result.rows == ()
         assert result.summary["trials"] == 0
+
+    def test_zero_trials_skip_the_table_caps(self):
+        # At n = 30 the uniform table would exceed its caps, but no trial needs it.
+        result = separation_experiment(30, 3, 0.05, 0, Rng(90, 0))
+        assert result.rows == ()
+
+    def test_table_caps_before_any_code_is_drawn(self, monkeypatch):
+        # 2^30 centers exceed the scatter table's cap, so the run must stop
+        # before trial 0 draws its linear code.
+        drawn = []
+        for name in ("random_linear_code", "uniform_random_code"):
+            draw = getattr(secondmoment, name)
+            monkeypatch.setattr(
+                secondmoment, name, lambda *args, draw=draw: drawn.append(args) or draw(*args)
+            )
+        with pytest.raises(ResourceLimitError):
+            separation_experiment(30, 3, 0.05, 2, Rng(90, 1))
+        assert drawn == []
 
     def test_seed_replay(self):
         a = separation_experiment(14, 1, 0.25, 4, Rng(91, 0))
