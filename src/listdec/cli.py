@@ -21,6 +21,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -54,16 +55,21 @@ def jsonable(value):
     return value
 
 
+CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(jsonable(obj), **CANONICAL)
 
 
-def atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, write: Callable) -> None:
+    """write(handle) fills a temporary UTF-8 text file beside path, which
+    then replaces path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".listdec-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,12 +77,15 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def render_json(config: dict, result: dict) -> bytes:
-    payload = {"config": config, "result": result}
-    return (json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n").encode()
+def write_json(handle, config: dict, doc) -> None:
+    """The run's JSON document, doc being jsonable(result), streamed:
+    json.dump writes the encoder's chunks as they come, so no str or bytes
+    copy of the whole document is held (a million 30-bit words make 40 MB)."""
+    json.dump({"config": jsonable(config), "result": doc}, handle, sort_keys=True, indent=2)
+    handle.write("\n")
 
 
-def render_csv(config: dict, columns: list[str], rows: list[dict], summary: dict | None) -> bytes:
+def render_csv(config: dict, columns: list[str], rows: list[dict], summary: dict | None) -> str:
     buf = io.StringIO()
     buf.write("# config: " + canonical_json(config) + "\n")
     if summary is not None:
@@ -85,7 +94,7 @@ def render_csv(config: dict, columns: list[str], rows: list[dict], summary: dict
     writer.writeheader()
     for row in rows:
         writer.writerow({k: jsonable(v) for k, v in row.items()})
-    return buf.getvalue().encode()
+    return buf.getvalue()
 
 
 def potential_fields(profile, epsilon):
@@ -660,18 +669,26 @@ def run_config(config: dict) -> int:
     fmt = config.get("output_format", "json")
     if fmt == "csv" and csv_payload is None:
         raise InvalidParameterError(f"subcommand {sub!r} has no CSV form")
+    doc = jsonable(result)
     if fmt == "csv":
-        columns, rows, summary = csv_payload
-        data = render_csv(config, columns, rows, summary)
+        text = render_csv(config, *csv_payload)
+
+        def write(handle):
+            handle.write(text)
+
     else:
-        data = render_json(config, result)
+
+        def write(handle):
+            write_json(handle, config, doc)
+
     out = config.get("output_path")
     if out:
-        atomic_write(out, data)
+        atomic_write(out, write)
         print(f"wrote {out}")
-        print(canonical_json(result))
+        json.dump(doc, sys.stdout, **CANONICAL)
+        sys.stdout.write("\n")
     else:
-        sys.stdout.write(data.decode())
+        write(sys.stdout)
     return exit_code
 
 

@@ -16,18 +16,18 @@ from .counting import hamming_volume
 from .errors import ConstructionError, InvalidParameterError
 from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
-    POTENTIAL_PREC,
     HammingMetric,
     LinearCode,
     check_scatter_caps,
     coset_counts,
     coset_profile,
-    coset_reduce,
     iv_excess,
     list_profile,
     one_step_bound,
+    one_step_bound_float,
     outer_xor_chunks,
     potential,
+    potential_float,
     scatter_table,
 )
 
@@ -135,9 +135,9 @@ def potential_guided_code(
     Each candidate b is scored by the coset engine on span(C, b): the ball,
     built once, is kept reduced modulo C, and reducing it by b (itself
     reduced modulo C) gives the least coset elements of span(C, b), so a
-    candidate costs O(|B| log |B|) whatever n is.  The accept is decided at
-    POTENTIAL_PREC bits, and again, exactly or in certified intervals, when
-    the two sides are within listsize.RECHECK_MARGIN of each other.
+    candidate costs O(|B| log |B|) whatever n is.  The accept is decided in
+    float64 (see _accepts); the POTENTIAL_PREC potential that the trace
+    records is computed for accepted candidates only.
     """
     if not 0 <= k <= n:
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
@@ -157,10 +157,8 @@ def potential_guided_code(
         raise ConstructionError(msg, partial=(LinearCode(n, tuple(gens)), trace))
 
     for step in range(1, k + 1):
-        t, s = state.excess, state.value
-        threshold = precise.with_mp(
-            lambda ctx: one_step_bound(ctx, t) if rule == "step" else s * s, POTENTIAL_PREC
-        )
+        s, t = state.value_float, state.excess_float
+        threshold = one_step_bound_float(t) if rule == "step" else s * s
         retries = 0
         draws = 0
         while True:
@@ -177,16 +175,18 @@ def potential_guided_code(
             for h in sorted(basis.pivots, reverse=True):
                 if (b_reduced >> h) & 1:
                     b_reduced ^= basis.pivots[h]
-            cand_reduced = coset_reduce(SpanBasis([b_reduced]), reduced)
+            # b_reduced is 0 at every pivot of C, so its leading bit is the
+            # new pivot and this is coset_reduce by it.
+            cand_reduced = np.minimum(reduced, reduced ^ np.int64(b_reduced))
             _, mult = np.unique(cand_reduced, return_counts=True)
             cand_profile = coset_profile(mult, basis.dim + 1, n, n, radius)
-            cand_state = potential(cand_profile, epsilon)
-            if _accepts(profile, cand_profile, cand_state.value, threshold, epsilon, rule):
+            value = potential_float(cand_profile, epsilon)
+            if _accepts(profile, cand_profile, value, threshold, epsilon, rule):
                 basis.insert(b)
                 gens.append(BitVector(n, b))
                 reduced = cand_reduced
                 profile = cand_profile
-                state = cand_state
+                state = potential(profile, epsilon)
                 records.append(
                     StepRecord(
                         step=step,
@@ -204,15 +204,21 @@ def potential_guided_code(
     return code, trace
 
 
-def _accepts(profile, cand_profile, value, threshold, epsilon: float, rule: str) -> bool:
+def _accepts(profile, cand_profile, value: float, threshold: float, epsilon: float, rule: str) -> bool:
     """S(cand_profile) <= the rule's threshold on profile.
 
-    value and threshold are the two sides at POTENTIAL_PREC bits; their
-    comparison decides unless they are within listsize.RECHECK_MARGIN (read
-    at call time).  Then two equal sides accept, decided exactly, and unequal
-    ones are compared in certified intervals, which terminates because they
-    differ."""
-    if abs(value - threshold) > threshold * listsize.RECHECK_MARGIN:
+    value and threshold are the two sides in float64; their comparison
+    decides when both are finite and they are farther apart than
+    listsize.RECHECK_MARGIN (read at call time).  Otherwise two equal sides
+    accept, decided exactly, and unequal ones are compared in certified
+    intervals, which terminates because they differ."""
+    # value is potential_float, within 5e-13 relative of S_new.  threshold is
+    # 1 + 2t + t sqrt(t) or s^2 from t, s = the 160-bit T, S rounded to
+    # float, within a few roundings (under 1e-15 relative) of the exact
+    # threshold.  So outside the 1e-9 margin the float comparison is the
+    # exact one, the one a 160-bit comparison would make.
+    finite = math.isfinite(value) and math.isfinite(threshold)
+    if finite and abs(value - threshold) > threshold * listsize.RECHECK_MARGIN:
         return value <= threshold
     e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
     if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):

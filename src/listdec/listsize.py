@@ -29,9 +29,11 @@ center not listed has L = 0.  Two engines produce it:
 list_profile, certify and the separation experiment's maximum list read the
 view alone, so they do not know which engine ran.  Histograms, tail
 statistics, potentials and the analytic inequality checks derive from the
-profile.  Every potential sum, at 160 bits or in intervals, reads its powers
-2^(e ell) from potential_power, a bounded cache keyed by the mpmath context,
-its precision, epsilon, the block length and ell, so each term is one
+profile.  Decisions on the potential are taken in float64 (potential_float,
+one_step_bound_float) and taken again, exactly or in certified intervals,
+within RECHECK_MARGIN.  Every potential sum at 160 bits or in intervals reads
+its powers 2^(e ell) from potential_power, a bounded cache keyed by the mpmath
+context, its precision, epsilon, the block length and ell, so each term is one
 multiply-add and each value is bit-identical to the power evaluated afresh.
 """
 
@@ -52,9 +54,10 @@ POTENTIAL_PREC = 160
 # Entries of the potential_power cache: one per (context, precision, epsilon,
 # block length, list size), a few hundred bytes each.
 POWER_CACHE_SIZE = 1024
-# Relative distance of two sides of a decision below which their comparison
-# at POTENTIAL_PREC bits (or in floats, in the step check's prefilter) is
-# decided again, exactly or in certified intervals.
+# Relative distance of two float64 sides of a decision below which their
+# comparison is decided again, exactly or in certified intervals.  Each float
+# side lies within about 5e-13 relative of its exact value (potential_float),
+# so outside the margin the float comparison is the exact one.
 RECHECK_MARGIN = 1e-9
 
 
@@ -226,13 +229,15 @@ def xor_counts(left: np.ndarray, right: np.ndarray, size: int, chunk_pairs: int)
 def coset_reduce(basis: SpanBasis, words: np.ndarray) -> np.ndarray:
     """Each word replaced by the least element of its coset of span(basis).
 
-    Every pivot bit is cleared, from the top pivot down.  The result is 0 at
-    every pivot, and since the leading bit of a nonzero codeword is a pivot,
-    that makes it the least element of its coset (and the only one that is 0
-    at every pivot)."""
+    Every pivot bit is cleared, from the top pivot down: the pivot row of h
+    has leading bit h, so XOR with it lowers a word exactly when bit h is set,
+    and min(w, w ^ row) is that conditional XOR.  The result is 0 at every
+    pivot, and since the leading bit of a nonzero codeword is a pivot, that
+    makes it the least element of its coset (and the only one that is 0 at
+    every pivot)."""
     out = np.asarray(words, dtype=np.int64)
     for h in sorted(basis.pivots, reverse=True):
-        out = np.where((out >> h) & 1, out ^ np.int64(basis.pivots[h]), out)
+        out = np.minimum(out, out ^ np.int64(basis.pivots[h]))
     return out
 
 
@@ -383,6 +388,31 @@ def one_step_bound(ctx, t):
     return 1 + 2 * t + t ** ctx.mpf(1.5)
 
 
+def one_step_bound_float(t: float) -> float:
+    """one_step_bound in float64, inf once it overflows (a float product
+    overflows to inf where ** raises)."""
+    return 1 + 2 * t + t * math.sqrt(t)
+
+
+def potential_exponent_float(epsilon: float, block_length: int) -> float:
+    return epsilon * block_length / (1 + epsilon)
+
+
+def potential_float(profile: ListProfile, epsilon: float) -> float:
+    """The potential S of the profile in float64, inf once it overflows.
+
+    With u = 2^-53: e = eps n / (1 + eps) is within 3u relative and e ell
+    within 4u, so at e ell <= 1100 (beyond it every term overflows, since
+    universe_bits <= 62) the exponent e ell - universe_bits is off by at most
+    4u * 1100 + 2^-43 < 6e-13, the power by ln 2 times that relatively, and
+    each product and the fsum add a rounding each: S within 5e-13 relative."""
+    e = potential_exponent_float(epsilon, profile.block_length)
+    try:
+        return math.fsum(c * 2.0 ** (e * ell - profile.universe_bits) for ell, c in profile.counts)
+    except OverflowError:
+        return math.inf
+
+
 def potential(profile: ListProfile, epsilon: float, prec: int = POTENTIAL_PREC) -> PotentialState:
     if not epsilon > 0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
@@ -501,23 +531,24 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     rows coset_pair_weights gives exactly; the potential exponent scales with
     the code's block length.
 
-    Each decision is taken at POTENTIAL_PREC bits (the hypothesis T < 1, the
-    threshold of the float prefilter over the class rows, and P < sqrt(T))
-    when the two sides lie farther apart than RECHECK_MARGIN, and in
-    certified intervals otherwise.  When S rounds to 1 at 160 bits, T is
-    below that resolution: the report says degenerate, and the classes and
-    P < sqrt(T) are all decided in intervals."""
+    Each decision (the hypothesis T < 1, each class row against the
+    threshold, and P < sqrt(T)) is taken in float64, its sides read from
+    the POTENTIAL_PREC value S, when they lie farther apart than
+    RECHECK_MARGIN, and in certified intervals otherwise.  When S rounds to 1
+    at 160 bits, T is below that resolution: the report says degenerate, and
+    the classes and P < sqrt(T) are all decided in intervals."""
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
     quotient_bits = universe_bits - basis.dim
     check_bits(quotient_bits, 1 << PAIR_CHECK_MAX_BITS, "step check needs {} coset classes")
     reps, mult, dim = list_sizes(code, radius)
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
-    t_excess = state.excess
-    # Every decision reads the POTENTIAL_PREC value S, not the rounded excess.
-    # T < 1 is S < 2.
-    if abs(state.value - 2) > 2 * RECHECK_MARGIN:
-        hypothesis_met = state.value < 2
+    # Every decision reads floats of the POTENTIAL_PREC value S and of its
+    # excess T = S - 1, each within a rounding of the 160-bit value.  T < 1
+    # is S < 2.
+    s, t = state.value_float, state.excess_float
+    if abs(s - 2) > 2 * RECHECK_MARGIN:
+        hypothesis_met = s < 2
     else:
         hypothesis_met = precise.certified_less(
             lambda ctx: iv_excess(ctx, profile, epsilon), lambda ctx: ctx.mpf(1)
@@ -526,9 +557,9 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
         return StepReport(
             hypothesis_met=False,
             degenerate=False,
-            excess=float(t_excess),
+            excess=t,
             probability=Fraction(0),
-            markov_bound=float(t_excess) ** 0.5,
+            markov_bound=t**0.5,
             holds=False,
         )
 
@@ -539,17 +570,13 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     def builder_threshold(ctx):
         return one_step_bound(ctx, iv_excess(ctx, profile, epsilon)) * ctx.mpf(2) ** quotient_bits
 
-    def at_potential_prec(ctx):
-        # S carries an absolute error near 2^-POTENTIAL_PREC, so sqrt(T) is
-        # read from it only while T keeps at least half of those bits.
-        t = state.value - 1
-        resolved = t > ctx.mpf(2) ** -(POTENTIAL_PREC // 2)
-        thr = one_step_bound(ctx, t) * ctx.mpf(2) ** quotient_bits
-        return float(thr), float(ctx.sqrt(t)), resolved
-
-    thr, root, resolved = precise.with_mp(at_potential_prec, prec=POTENTIAL_PREC)
+    # S carries an absolute error near 2^-POTENTIAL_PREC, so sqrt(T) is read
+    # from it only while T keeps at least half of those bits.
+    resolved = t > 2.0 ** -(POTENTIAL_PREC // 2)
+    root = math.sqrt(t)
+    thr = one_step_bound_float(t) * 2.0**quotient_bits
     # Float prefilter; only classes within the margin get an interval recheck.
-    e_float = epsilon * block_length / (1 + epsilon)
+    e_float = potential_exponent_float(epsilon, block_length)
     pows = np.exp2(e_float * np.arange(rows.shape[1]))
     lhs = rows @ pows
     margin = RECHECK_MARGIN * max(abs(thr), 1.0)
@@ -572,7 +599,6 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     # Candidates in the code (class 0) leave it unchanged, so they never exceed.
     exceed[0] = False
     probability = Fraction(int(exceed.sum()) << dim, 1 << universe_bits)
-    markov = math.sqrt(float(t_excess))
     if probability == 0:
         holds = True
     elif resolved and abs(float(probability) - root) > RECHECK_MARGIN * root:
@@ -585,9 +611,9 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     return StepReport(
         hypothesis_met=True,
         degenerate=state.value == 1,
-        excess=float(t_excess),
+        excess=t,
         probability=probability,
-        markov_bound=markov,
+        markov_bound=root,
         holds=holds,
     )
 

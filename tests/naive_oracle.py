@@ -2,6 +2,8 @@
 
 - ball_masks_itertools: the Hamming ball listed by itertools, the twin of
   gf2.ball_masks;
+- coset_reduce_masked: each pivot bit cleared by a masked XOR, the twin of
+  listsize.coset_reduce;
 - naive_table and list_profile_naive: per-center list sizes by direct
   pairwise distances, the twin of listsize.list_profile;
 - profile_from_table and certify_table: the profile and the certificate read
@@ -39,6 +41,15 @@ def ball_masks_itertools(n: int, radius: int) -> np.ndarray:
         )
         chunks.append(np.array(vals, dtype=np.int64))
     return np.concatenate(chunks)
+
+
+def coset_reduce_masked(basis, words: np.ndarray) -> np.ndarray:
+    """Each word with every pivot bit cleared, from the top pivot down, by
+    XOR with the pivot row where the bit is set."""
+    out = np.asarray(words, dtype=np.int64)
+    for h in sorted(basis.pivots, reverse=True):
+        out = np.where((out >> h) & 1, out ^ np.int64(basis.pivots[h]), out)
+    return out
 
 
 def profile_from_table(table: np.ndarray, block_length: int, radius: int) -> ListProfile:

@@ -30,7 +30,7 @@ from listdec import (
     uniform_random_code,
     verify_trace,
 )
-from listdec import LinearCode, PotentialTrace, limits, listsize
+from listdec import LinearCode, PotentialTrace, constructors, limits, listsize, precise
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
 from listdec.listsize import HammingMetric, potential, scatter_table
@@ -219,6 +219,26 @@ class TestGuidedBuilder:
         assert second[0].generators == first[0].generators
         assert second[1] == first[1]
 
+    def test_potential_only_for_accepted_candidates(self, monkeypatch):
+        # Candidates are decided in float64: the 160-bit potential runs for
+        # the empty code and for each accepted generator, rejected candidates
+        # get none, and no step builds a 160-bit threshold.
+        calls = {"potential": 0, "with_mp": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(constructors, "potential", counted("potential", potential))
+        monkeypatch.setattr(precise, "with_mp", counted("with_mp", precise.with_mp))
+        k = 5
+        code, trace = potential_guided_code(12, k, 2, 0.6, Rng(88, 0))
+        assert code.effective_dim == k and trace.total_retries > 0
+        assert calls == {"potential": k + 1, "with_mp": k + 1}
+
     def test_square_rule_variant(self):
         code, trace = potential_guided_code(12, 3, 1, 0.5, Rng(8, 0), rule="square")
         assert code.effective_dim == 3
@@ -359,6 +379,20 @@ class TestGuidedOracle:
         # exact tie test or by certified intervals.
         monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
         self.sweep_against_oracle()
+
+    def test_overflow_regime_matches_dense_oracle(self):
+        # At eps = 100 the square rule passes S > 2^1023 within a few steps;
+        # from there both float sides are inf, and each accept is decided by
+        # the exact tie test or in certified intervals.
+        args = (12, 9, 6, 100.0)
+        for rule in ("step", "square"):
+            for seed in range(3):
+                kwargs = {"max_retries_per_step": 3, "rule": rule}
+                fast = guided_outcome(potential_guided_code, *args, Rng(31, seed), **kwargs)
+                slow = guided_outcome(dense_guided_code, *args, Rng(31, seed), **kwargs)
+                assert fast == slow, (rule, seed)
+                if rule == "square":
+                    assert fast[0] == "ok" and math.isinf(fast[2].records[-1].value)
 
     def test_exact_tie_accepts(self):
         # At radius n with |C| = 1, S = 2^e; e = 1 at (n, eps) = (2, 1.0), so

@@ -33,8 +33,8 @@ from listdec import (
 )
 from listdec import listsize, precise
 from listdec.counting import binary_entropy
-from listdec.gf2 import BitMatrix, ball_masks
-from listdec.limits import SCATTER_MAX
+from listdec.gf2 import BitMatrix, SpanBasis, ball_masks
+from listdec.limits import SCATTER_MAX, WORD_BITS
 from listdec.listsize import (
     StepReport,
     coset_counts,
@@ -46,7 +46,13 @@ from listdec.listsize import (
     scatter_table,
 )
 from listdec.rankmetric import RankCode, RankParams
-from naive_oracle import certify_table, list_profile_naive, naive_table, profile_from_table
+from naive_oracle import (
+    certify_table,
+    coset_reduce_masked,
+    list_profile_naive,
+    naive_table,
+    profile_from_table,
+)
 from step_oracle import (
     affordable,
     class_pair_counts,
@@ -211,6 +217,24 @@ class TestCosetEngine:
                 assert certificate_fields(certify(code, radius, max_list)) == table_certificate(
                     code, table, max_list
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reduce_matches_masked_xor_oracle(self, data):
+        # Generators are drawn with XORs of earlier ones (dependent sets), so
+        # pivot rows often carry lower pivot bits and the order of the
+        # pivots matters.
+        n = data.draw(st.integers(1, WORD_BITS))
+        word = st.integers(0, (1 << n) - 1)
+        gens = data.draw(st.lists(word, min_size=1, max_size=8))
+        pairs = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+        gens += [a ^ b for a, b in data.draw(st.lists(pairs, max_size=4))]
+        basis = SpanBasis(data.draw(st.permutations(gens)))
+        words = data.draw(st.lists(word, max_size=40))
+        shifts = st.tuples(word, st.sampled_from(gens))
+        words += [w ^ g for w, g in data.draw(st.lists(shifts, max_size=10))]
+        words = np.array(words, dtype=np.int64)
+        assert np.array_equal(coset_reduce(basis, words), coset_reduce_masked(basis, words))
 
     def test_reps_are_least_coset_elements(self):
         code = random_linear_code(10, 4, Rng(27, 0))
