@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -35,31 +36,34 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
-def jsonable(value):
+def encode(value):
+    """json's default= hook for the result types it does not serialize:
+    a Fraction as "a/b", a BitVector as its bit string, another dataclass as
+    a dict of its fields, a numpy scalar as the Python value."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, BitVector):
         return value.to_string()
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: jsonable(getattr(value, k)) for k in value.__dataclass_fields__}
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+def csv_cell(value):
+    """encode's form of a CSV cell, or the value itself if encode refuses it."""
+    try:
+        return encode(value)
+    except TypeError:
+        return value
+
+
+CANONICAL = {"sort_keys": True, "separators": (",", ":"), "default": encode}
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), **CANONICAL)
+    return json.dumps(obj, **CANONICAL)
 
 
 def atomic_write(path: str, write: Callable) -> None:
@@ -77,11 +81,11 @@ def atomic_write(path: str, write: Callable) -> None:
         raise
 
 
-def write_json(handle, config: dict, doc) -> None:
-    """The run's JSON document, doc being jsonable(result), streamed:
-    json.dump writes the encoder's chunks as they come, so no str or bytes
-    copy of the whole document is held (a million 30-bit words make 40 MB)."""
-    json.dump({"config": jsonable(config), "result": doc}, handle, sort_keys=True, indent=2)
+def write_json(handle, config: dict, result) -> None:
+    """The run's JSON document, streamed: json.dump writes the encoder's
+    chunks as they come, so no str or bytes copy of the whole document is
+    held (a million 30-bit words make 40 MB)."""
+    json.dump({"config": config, "result": result}, handle, sort_keys=True, indent=2, default=encode)
     handle.write("\n")
 
 
@@ -93,7 +97,7 @@ def render_csv(config: dict, columns: list[str], rows: list[dict], summary: dict
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: jsonable(v) for k, v in row.items()})
+        writer.writerow({k: csv_cell(v) for k, v in row.items()})
     return buf.getvalue()
 
 
@@ -669,7 +673,6 @@ def run_config(config: dict) -> int:
     fmt = config.get("output_format", "json")
     if fmt == "csv" and csv_payload is None:
         raise InvalidParameterError(f"subcommand {sub!r} has no CSV form")
-    doc = jsonable(result)
     if fmt == "csv":
         text = render_csv(config, *csv_payload)
 
@@ -679,13 +682,13 @@ def run_config(config: dict) -> int:
     else:
 
         def write(handle):
-            write_json(handle, config, doc)
+            write_json(handle, config, result)
 
     out = config.get("output_path")
     if out:
         atomic_write(out, write)
         print(f"wrote {out}")
-        json.dump(doc, sys.stdout, **CANONICAL)
+        json.dump(result, sys.stdout, **CANONICAL)
         sys.stdout.write("\n")
     else:
         write(sys.stdout)

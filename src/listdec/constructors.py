@@ -1,5 +1,8 @@
 """Code generators: random linear, uniform tables, the potential-guided
-incremental builder, and a resampling constructor for the local-lemma regime."""
+incremental builder, and a resampling constructor for the local-lemma regime.
+
+The guided builder scores its candidates here and leaves each accept to
+listsize.accepts, the one decision of the potential's step bound."""
 
 from __future__ import annotations
 
@@ -11,19 +14,18 @@ from functools import cached_property
 
 import numpy as np
 
-from . import limits, listsize, precise
+from . import limits, precise
 from .counting import hamming_volume
 from .errors import ConstructionError, InvalidParameterError
 from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
     HammingMetric,
     LinearCode,
+    accepts,
     check_scatter_caps,
     coset_counts,
     coset_profile,
-    iv_excess,
     list_profile,
-    one_step_bound,
     one_step_bound_float,
     outer_xor_chunks,
     potential,
@@ -135,9 +137,10 @@ def potential_guided_code(
     Each candidate b is scored by the coset engine on span(C, b): the ball,
     built once, is kept reduced modulo C, and reducing it by b (itself
     reduced modulo C) gives the least coset elements of span(C, b), so a
-    candidate costs O(|B| log |B|) whatever n is.  The accept is decided in
-    float64 (see _accepts); the POTENTIAL_PREC potential that the trace
-    records is computed for accepted candidates only.
+    candidate costs O(|B| log |B|) whatever n is.  listsize.accepts decides
+    the accept, in float64 where that settles it; the POTENTIAL_PREC
+    potential that the trace records is computed for accepted candidates
+    only.
     """
     if not 0 <= k <= n:
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
@@ -181,7 +184,7 @@ def potential_guided_code(
             _, mult = np.unique(cand_reduced, return_counts=True)
             cand_profile = coset_profile(mult, basis.dim + 1, n, n, radius)
             value = potential_float(cand_profile, epsilon)
-            if _accepts(profile, cand_profile, value, threshold, epsilon, rule):
+            if accepts(profile, cand_profile, value, threshold, epsilon, rule):
                 basis.insert(b)
                 gens.append(BitVector(n, b))
                 reduced = cand_reduced
@@ -202,68 +205,6 @@ def potential_guided_code(
     code = LinearCode(n, tuple(gens))
     trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
     return code, trace
-
-
-def _accepts(profile, cand_profile, value: float, threshold: float, epsilon: float, rule: str) -> bool:
-    """S(cand_profile) <= the rule's threshold on profile.
-
-    value and threshold are the two sides in float64; their comparison
-    decides when both are finite and they are farther apart than
-    listsize.RECHECK_MARGIN (read at call time).  Otherwise two equal sides
-    accept, decided exactly, and unequal ones are compared in certified
-    intervals, which terminates because they differ."""
-    # value is potential_float, within 5e-13 relative of S_new.  threshold is
-    # 1 + 2t + t sqrt(t) or s^2 from t, s = the 160-bit T, S rounded to
-    # float, within a few roundings (under 1e-15 relative) of the exact
-    # threshold.  So outside the 1e-9 margin the float comparison is the
-    # exact one, the one a 160-bit comparison would make.
-    finite = math.isfinite(value) and math.isfinite(threshold)
-    if finite and abs(value - threshold) > threshold * listsize.RECHECK_MARGIN:
-        return value <= threshold
-    e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
-    if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
-        return True
-
-    def bound(ctx):
-        t = iv_excess(ctx, profile, epsilon)
-        return one_step_bound(ctx, t) if rule == "step" else (1 + t) ** 2
-
-    return precise.certified_le(lambda ctx: 1 + iv_excess(ctx, cand_profile, epsilon), bound)
-
-
-def _threshold_gap(profile, cand_profile, rule: str) -> dict[int, int]:
-    """An integer polynomial in z = 2^e, e the potential exponent, that
-    vanishes at z exactly when the accept's two sides are equal (or, for the
-    step rule, when S_new = 1 + 2T - T^1.5, which accepts as well).
-
-    With u = 2^universe_bits, P(z) = u S and Q(z) = u S_new are the profiles'
-    sums.  Square rule: S_new = S^2 iff u Q - P^2 = 0.  Step rule: with
-    A = Q - 2P + u = u (S_new - 1 - 2T) and R = P - u = u T,
-    S_new = 1 + 2T +- T^1.5 iff A^2 = u^-1 R^3, i.e. u A^2 - R^3 = 0."""
-    u = 1 << profile.universe_bits
-    p, q = dict(profile.counts), dict(cand_profile.counts)
-    if rule == "square":
-        return _poly_sum((u, q), (-1, _poly_mul(p, p)))
-    a = _poly_sum((1, q), (-2, p), (u, {0: 1}))
-    r = _poly_sum((1, p), (-u, {0: 1}))
-    return _poly_sum((u, _poly_mul(a, a)), (-1, _poly_mul(r, _poly_mul(r, r))))
-
-
-def _poly_sum(*terms: tuple[int, dict[int, int]]) -> dict[int, int]:
-    """sum of c * poly over (c, poly) terms; polynomials map exponent -> coefficient."""
-    out: dict[int, int] = {}
-    for c, poly in terms:
-        for j, x in poly.items():
-            out[j] = out.get(j, 0) + c * x
-    return out
-
-
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return out
 
 
 def verify_trace(code: LinearCode, trace: PotentialTrace) -> float:

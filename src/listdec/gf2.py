@@ -124,17 +124,8 @@ class BitMatrix:
 
 
 def rank_of_ints(rows: Iterable[int]) -> int:
-    """GF(2) rank of packed row words via elimination on leading bits."""
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                break
-    return len(pivots)
+    """GF(2) rank of packed row words: the dimension of their SpanBasis."""
+    return SpanBasis(rows).dim
 
 
 class SpanBasis:

@@ -30,11 +30,13 @@ list_profile, certify and the separation experiment's maximum list read the
 view alone, so they do not know which engine ran.  Histograms, tail
 statistics, potentials and the analytic inequality checks derive from the
 profile.  Decisions on the potential are taken in float64 (potential_float,
-one_step_bound_float) and taken again, exactly or in certified intervals,
-within RECHECK_MARGIN.  Every potential sum at 160 bits or in intervals reads
-its powers 2^(e ell) from potential_power, a bounded cache keyed by the mpmath
-context, its precision, epsilon, the block length and ell, so each term is one
-multiply-add and each value is bit-identical to the power evaluated afresh.
+one_step_bound_float) where precise.settled, and taken again otherwise.
+accepts alone decides S_new <= the step bound (or S^2), for the guided
+constructor's candidates and the step check's classes.  Every potential sum
+at 160 bits or in intervals reads its powers 2^(e ell) from potential_power, a
+bounded cache keyed by the mpmath context, its precision, epsilon, the block
+length and ell, so each term is one multiply-add and each value is
+bit-identical to the power evaluated afresh.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ POTENTIAL_PREC = 160
 # Entries of the potential_power cache: one per (context, precision, epsilon,
 # block length, list size), a few hundred bytes each.
 POWER_CACHE_SIZE = 1024
-# Relative distance of two float64 sides of a decision below which their
-# comparison is decided again, exactly or in certified intervals.  Each float
-# side lies within about 5e-13 relative of its exact value (potential_float),
-# so outside the margin the float comparison is the exact one.
-RECHECK_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -337,9 +334,6 @@ class PotentialState:
 
     value: object
     excess: object
-    epsilon: float
-    block_length: int
-    universe_bits: int
 
     @property
     def value_float(self) -> float:
@@ -369,8 +363,8 @@ def potential_power(ctx, prec: int, epsilon: float, block_length: int, ell: int)
 
 def potential_sum(ctx, counts, epsilon: float, block_length: int):
     """sum of c * 2^(e ell) over the pairs (ell, c) of counts, e the potential
-    exponent: a profile's potential times 2^universe_bits, or a weight row's.
-    Each power comes from potential_power, so a term is one multiply-add."""
+    exponent: a profile's potential times 2^universe_bits.  Each power comes
+    from potential_power, so a term is one multiply-add."""
     total = ctx.mpf(0)
     for ell, c in counts:
         total += c * potential_power(ctx, ctx.prec, epsilon, block_length, ell)
@@ -417,13 +411,66 @@ def potential(profile: ListProfile, epsilon: float, prec: int = POTENTIAL_PREC) 
     if not epsilon > 0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
     value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon), prec=prec)
-    return PotentialState(
-        value=value,
-        excess=value - 1,
-        epsilon=epsilon,
-        block_length=profile.block_length,
-        universe_bits=profile.universe_bits,
-    )
+    return PotentialState(value=value, excess=value - 1)
+
+
+def accepts(profile, cand_profile, value: float, threshold: float, epsilon: float, rule: str) -> bool:
+    """S(cand_profile) <= the rule's threshold on profile: 1 + 2T + T^1.5 for
+    rule "step", S^2 for "square".  Both profiles cover the same universe.
+
+    value and threshold are the two sides in float64; their comparison
+    decides when precise.settled.  Otherwise two equal sides accept, decided
+    exactly, and unequal ones are compared in certified intervals, which
+    terminates because they differ."""
+    # value is within 5e-13 relative of S_new (potential_float, or a row sum
+    # as accurate); threshold, from floats of the 160-bit T and S, within
+    # 1e-15.  So a settled float comparison is the exact one.
+    if precise.settled(value, threshold):
+        return value <= threshold
+    e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
+    if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
+        return True
+
+    def bound(ctx):
+        t = iv_excess(ctx, profile, epsilon)
+        return one_step_bound(ctx, t) if rule == "step" else (1 + t) ** 2
+
+    return precise.certified_le(lambda ctx: 1 + iv_excess(ctx, cand_profile, epsilon), bound)
+
+
+def _threshold_gap(profile, cand_profile, rule: str) -> dict[int, int]:
+    """An integer polynomial in z = 2^e, e the potential exponent, that
+    vanishes at z exactly when the accept's two sides are equal (or, for the
+    step rule, when S_new = 1 + 2T - T^1.5, which accepts as well).
+
+    With u = 2^universe_bits, P(z) = u S and Q(z) = u S_new are the profiles'
+    sums.  Square rule: S_new = S^2 iff u Q - P^2 = 0.  Step rule: with
+    A = Q - 2P + u = u (S_new - 1 - 2T) and R = P - u = u T,
+    S_new = 1 + 2T +- T^1.5 iff A^2 = u^-1 R^3, i.e. u A^2 - R^3 = 0."""
+    u = 1 << profile.universe_bits
+    p, q = dict(profile.counts), dict(cand_profile.counts)
+    if rule == "square":
+        return _poly_sum((u, q), (-1, _poly_mul(p, p)))
+    a = _poly_sum((1, q), (-2, p), (u, {0: 1}))
+    r = _poly_sum((1, p), (-u, {0: 1}))
+    return _poly_sum((u, _poly_mul(a, a)), (-1, _poly_mul(r, _poly_mul(r, r))))
+
+
+def _poly_sum(*terms: tuple[int, dict[int, int]]) -> dict[int, int]:
+    """sum of c * poly over (c, poly) terms; polynomials map exponent -> coefficient."""
+    out: dict[int, int] = {}
+    for c, poly in terms:
+        for j, x in poly.items():
+            out[j] = out.get(j, 0) + c * x
+    return out
+
+
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -531,12 +578,13 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     rows coset_pair_weights gives exactly; the potential exponent scales with
     the code's block length.
 
-    Each decision (the hypothesis T < 1, each class row against the
-    threshold, and P < sqrt(T)) is taken in float64, its sides read from
-    the POTENTIAL_PREC value S, when they lie farther apart than
-    RECHECK_MARGIN, and in certified intervals otherwise.  When S rounds to 1
-    at 160 bits, T is below that resolution: the report says degenerate, and
-    the classes and P < sqrt(T) are all decided in intervals."""
+    Each decision (the hypothesis T < 1, each class against the threshold,
+    and P < sqrt(T)) is taken in float64, its sides read from the
+    POTENTIAL_PREC value S, when precise.settled, and again otherwise: a
+    class by accepts, on the profile of the code extended by the class (its
+    row, each count times 2^dim), the others in certified intervals.  When S
+    rounds to 1 at 160 bits, T is below that resolution: the report says
+    degenerate, and the classes and P < sqrt(T) are all decided again."""
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
     quotient_bits = universe_bits - basis.dim
     check_bits(quotient_bits, 1 << PAIR_CHECK_MAX_BITS, "step check needs {} coset classes")
@@ -547,7 +595,7 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     # excess T = S - 1, each within a rounding of the 160-bit value.  T < 1
     # is S < 2.
     s, t = state.value_float, state.excess_float
-    if abs(s - 2) > 2 * RECHECK_MARGIN:
+    if precise.settled(s, 2.0):
         hypothesis_met = s < 2
     else:
         hypothesis_met = precise.certified_less(
@@ -567,41 +615,38 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     table[quotient_index(basis, reps, universe_bits)] = mult
     rows = coset_pair_weights(table)
 
-    def builder_threshold(ctx):
-        return one_step_bound(ctx, iv_excess(ctx, profile, epsilon)) * ctx.mpf(2) ** quotient_bits
-
     # S carries an absolute error near 2^-POTENTIAL_PREC, so sqrt(T) is read
     # from it only while T keeps at least half of those bits.
     resolved = t > 2.0 ** -(POTENTIAL_PREC // 2)
     root = math.sqrt(t)
-    thr = one_step_bound_float(t) * 2.0**quotient_bits
-    # Float prefilter; only classes within the margin get an interval recheck.
+    # Each class's row sum, S_new times 2^q, in float64 against the threshold
+    # times 2^q (exact scalings); the classes not settled are decided again
+    # by accepts.
+    threshold, scale = one_step_bound_float(t), 2.0**quotient_bits
     e_float = potential_exponent_float(epsilon, block_length)
-    pows = np.exp2(e_float * np.arange(rows.shape[1]))
-    lhs = rows @ pows
-    margin = RECHECK_MARGIN * max(abs(thr), 1.0)
-    exceed = lhs > thr + margin
-    uncertain = np.flatnonzero(np.abs(lhs - thr) <= margin)
+    sums = rows @ np.exp2(e_float * np.arange(rows.shape[1]))
+    decided = precise.settled(sums, threshold * scale)
+    exceed = decided & (sums > threshold * scale)
+    uncertain = np.flatnonzero(~decided)
     if len(uncertain):
         # Classes with equal rows decide alike, so each distinct row is
-        # rechecked once: at tiny T every class that no pair reaches falls in
-        # the margin.
-        distinct, inverse = np.unique(rows[uncertain], axis=0, return_inverse=True)
+        # decided once: at tiny T every class that no pair reaches is
+        # unsettled.
+        distinct, first, inverse = np.unique(
+            rows[uncertain], axis=0, return_index=True, return_inverse=True
+        )
         rechecked = []
-        for row in distinct:
-
-            def builder_lhs(ctx, row=row):
-                weights = ((s, int(w)) for s, w in enumerate(row) if w)
-                return potential_sum(ctx, weights, epsilon, block_length)
-
-            rechecked.append(not precise.certified_le(builder_lhs, builder_threshold))
+        for row, row_sum in zip(distinct, sums[uncertain[first]]):
+            counts = tuple((ell, int(w) << dim) for ell, w in enumerate(row) if w)
+            extended = ListProfile(universe_bits, block_length, radius, counts)
+            rechecked.append(not accepts(profile, extended, row_sum / scale, threshold, epsilon, "step"))
         exceed[uncertain] = np.array(rechecked, dtype=bool)[inverse]
     # Candidates in the code (class 0) leave it unchanged, so they never exceed.
     exceed[0] = False
     probability = Fraction(int(exceed.sum()) << dim, 1 << universe_bits)
     if probability == 0:
         holds = True
-    elif resolved and abs(float(probability) - root) > RECHECK_MARGIN * root:
+    elif precise.settled(float(probability), root if resolved else math.nan):
         holds = probability < root
     else:
         holds = precise.certified_less(

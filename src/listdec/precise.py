@@ -4,15 +4,18 @@ Builders receive the interval context with its precision already set.  One
 loop, certified, escalates the precision until a builder's intervals decide,
 so a True/False answer is never a rounding artifact.  All interval work
 happens here, under one lock, because mpmath contexts hold global precision
-state.
+state.  settled(lhs, rhs) says when a float64 comparison stands for the
+exact one; any other is decided again, exactly or through certified.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
 from mpmath import iv, mp, mpf
 from mpmath.libmp import to_int
 
@@ -22,6 +25,21 @@ _LOCK = threading.RLock()
 
 DEFAULT_PREC = 120
 MAX_PREC = 4096
+# Relative distance of two float64 sides below which their comparison is
+# decided again.  A potential's float side is within 5e-13 relative of its
+# exact value (listsize.potential_float), far inside the margin.
+RECHECK_MARGIN = 1e-9
+
+
+def settled(lhs, rhs):
+    """Whether the float64 comparison of lhs and rhs decides: both finite and
+    |lhs - rhs| > RECHECK_MARGIN |rhs|, the margin read at call time.  Plain
+    Python on floats, elementwise if either side is an array."""
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            apart = np.abs(lhs - rhs) > RECHECK_MARGIN * np.abs(rhs)
+        return np.isfinite(lhs) & np.isfinite(rhs) & apart
+    return math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > RECHECK_MARGIN * abs(rhs)
 
 
 def iv_fraction(ctx, value: Fraction):

@@ -377,7 +377,7 @@ class TestGuidedOracle:
     def test_every_accept_rechecked_matches_600_bit_decisions(self, monkeypatch):
         # With no margin left to the prefilter, every accept is decided by the
         # exact tie test or by certified intervals.
-        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
         self.sweep_against_oracle()
 
     def test_overflow_regime_matches_dense_oracle(self):

@@ -1,5 +1,6 @@
 """One owner for every resource cap: listdec.limits holds the cap values and
-is the only module that raises ResourceLimitError."""
+is the only module that raises ResourceLimitError.  Likewise one owner for
+the float decision margin: only listdec.precise names RECHECK_MARGIN."""
 
 from __future__ import annotations
 
@@ -49,3 +50,15 @@ def test_no_other_module_assigns_a_cap():
                     assigned.setdefault(name, set()).add(target.id)
     assert assigned.pop("limits") == CAPS
     assert {(name, cap) for name, caps in assigned.items() for cap in caps} == NOT_CAPS
+
+
+def test_only_precise_names_the_recheck_margin():
+    naming = {
+        name
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "RECHECK_MARGIN")
+        or (isinstance(node, ast.Attribute) and node.attr == "RECHECK_MARGIN")
+        or (isinstance(node, ast.alias) and node.name == "RECHECK_MARGIN")
+    }
+    assert naming == {"precise"}

@@ -678,13 +678,13 @@ class TestCosetStepEngine:
         assume(affordable(report, code.basis, ball_masks(code.n, radius), code.n))
         assert report == dense_potential_step(code, eps, radius)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+            patch.setattr(precise, "RECHECK_MARGIN", float("inf"))
             assert check_potential_step(code, eps, radius) == report
 
     def test_seeded_sweep_every_class_rechecked(self, monkeypatch):
         cases = list(seeded_step_codes(20, 8, 36))
         oracles = [dense_potential_step(code, eps, radius) for code, radius, eps in cases]
-        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
         for (code, radius, eps), oracle in zip(cases, oracles):
             assert check_potential_step(code, eps, radius) == oracle
         assert sum(oracle.probability > 0 for oracle in oracles) >= 5
@@ -694,7 +694,7 @@ class TestCosetStepEngine:
         # Every class rechecked and every recheck answering "exceeds": the
         # count is exactly the candidates outside the code.
         code = code_from_ints(n, gens)
-        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
         monkeypatch.setattr(precise, "certified_le", lambda lhs, rhs: False)
         report = check_potential_step(code, 0.2, 1)
         assert report.hypothesis_met
@@ -707,7 +707,7 @@ class TestCosetStepEngine:
         # With an infinite margin T < 1 is always decided in intervals.
         code = code_from_ints(n, gens)
         prefiltered = check_potential_step(code, eps, 1)
-        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
         assert check_potential_step(code, eps, 1) == prefiltered
 
     @settings(max_examples=25, deadline=None)
@@ -718,7 +718,7 @@ class TestCosetStepEngine:
         code, radius, eps = drawn
         report = check_potential_step(code, eps, radius)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+            patch.setattr(precise, "RECHECK_MARGIN", float("inf"))
             assert check_potential_step(code, eps, radius) == report
 
     def test_degenerate_at_tiny_epsilon(self, monkeypatch):

@@ -18,7 +18,14 @@ from listdec import (
 )
 from listdec.gf2 import BitVector, ball_masks
 from listdec.listsize import scatter_table
-from listdec.precise import certified_le, certified_less, iv_fraction, vanishes_at_power_of_two
+from listdec import precise
+from listdec.precise import (
+    certified_le,
+    certified_less,
+    iv_fraction,
+    settled,
+    vanishes_at_power_of_two,
+)
 
 
 class TestCertifiedComparisons:
@@ -56,6 +63,48 @@ class TestCertifiedComparisons:
         assert certified_less(
             lambda ctx: ctx.pi ** ctx.e, lambda ctx: ctx.exp(ctx.pi)
         )
+
+
+class TestSettled:
+    INF, NAN = float("inf"), float("nan")
+    CASES = [
+        (1.0, 2.0, True),
+        (2.0, 2.0, False),
+        (2.0 + 1e-10, 2.0, False),  # inside the margin of 2e-9
+        (2.0 + 1e-8, 2.0, True),
+        (2.0 - 1e-8, 2.0, True),
+        (0.0, 0.0, False),
+        (1.0, 0.0, True),
+        (INF, 2.0, False),
+        (2.0, INF, False),
+        (-INF, 2.0, False),
+        (INF, INF, False),
+        (NAN, 2.0, False),
+        (2.0, NAN, False),
+        (NAN, NAN, False),
+    ]
+
+    @pytest.mark.parametrize("lhs,rhs,expected", CASES)
+    def test_scalar(self, lhs, rhs, expected):
+        assert settled(lhs, rhs) is expected
+
+    def test_array_answers_as_the_scalars(self):
+        lhs = np.array([lhs for lhs, _, _ in self.CASES])
+        rhs = np.array([rhs for _, rhs, _ in self.CASES])
+        expected = [e for _, _, e in self.CASES]
+        assert settled(lhs, rhs).tolist() == expected
+        # One array side against a scalar, either way round.
+        assert settled(lhs, 2.0).tolist() == [settled(x, 2.0) for x in lhs.tolist()]
+        assert settled(2.0, rhs).tolist() == [settled(2.0, x) for x in rhs.tolist()]
+
+    def test_margin_read_at_call_time(self, monkeypatch):
+        assert settled(2.0 + 1e-10, 2.0) is False
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", 1e-12)
+        assert settled(2.0 + 1e-10, 2.0) is True
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
+        assert settled(1.0, 2.0) is False
+        assert settled(1.0, 0.0) is False
+        assert not settled(np.array([1.0, 1e300]), np.array([2.0, 0.0])).any()
 
 
 class TestVanishesAtPowerOfTwo:

@@ -363,7 +363,7 @@ class TestRankStepEngine:
         assume(code.params.universe_bits - code.basis.dim <= 10)
         report = check_potential_step(code, eps, radius)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+            patch.setattr(precise, "RECHECK_MARGIN", float("inf"))
             assert check_potential_step(code, eps, radius) == report
 
     def test_benchmark_shape_decided_at_potential_prec(self, monkeypatch):
@@ -400,7 +400,7 @@ class TestRankStepEngine:
             code = random_linear_rank_code(RankParams(m, n, 1), rng.integer(0, 4), rng.substream(i))
             eps = rng.uniform(0.3, 0.8)
             cases.append((code, eps, dense_potential_step(code, eps, 1)))
-        monkeypatch.setattr(listsize, "RECHECK_MARGIN", float("inf"))
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
         for code, eps, oracle in cases:
             assert check_potential_step(code, eps, 1) == oracle
         assert sum(oracle.probability > 0 for _, _, oracle in cases) >= 6
