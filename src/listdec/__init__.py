@@ -14,6 +14,7 @@ from .counting import (
     gaussian_binomial,
     hamming_volume,
     intersection_volume,
+    log2_fraction,
     overlap_decay,
     rank_ball_size,
 )
@@ -78,7 +79,6 @@ from .secondmoment import (
     check_rank_rate_bound,
     cluster_variance_bound,
     expected_cluster_count,
-    log2_fraction,
     lower_bound_params,
     pair_event_probability,
     separation_experiment,

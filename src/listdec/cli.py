@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,11 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-import numpy as np
-
 from . import constructors, counting, listsize, rankmetric, secondmoment
 from .errors import ConstructionError, InvalidParameterError, ResourceLimitError
-from .gf2 import BitVector, Rng
+from .gf2 import Rng
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -37,26 +34,17 @@ EXIT_RESOURCE = 3
 
 
 def encode(value):
-    """json's default= hook for the result types it does not serialize:
-    a Fraction as "a/b", a BitVector as its bit string, another dataclass as
-    a dict of its fields, a numpy scalar as the Python value."""
+    """json's default= hook for the one result type it does not serialize:
+    a Fraction, written as "a/b".  The handlers render every other value
+    (words, witnesses, records) as JSON types themselves."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, BitVector):
-        return value.to_string()
-    if dataclasses.is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    if isinstance(value, np.generic):
-        return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def csv_cell(value):
-    """encode's form of a CSV cell, or the value itself if encode refuses it."""
-    try:
-        return encode(value)
-    except TypeError:
-        return value
+    """A CSV cell: a Fraction as encode writes it, any other value as is."""
+    return encode(value) if isinstance(value, Fraction) else value
 
 
 CANONICAL = {"sort_keys": True, "separators": (",", ":"), "default": encode}
@@ -89,16 +77,16 @@ def write_json(handle, config: dict, result) -> None:
     handle.write("\n")
 
 
-def render_csv(config: dict, columns: list[str], rows: list[dict], summary: dict | None) -> str:
-    buf = io.StringIO()
-    buf.write("# config: " + canonical_json(config) + "\n")
+def write_csv(handle, config: dict, columns: list[str], rows: list[dict], summary: dict | None) -> None:
+    """The run's CSV document, streamed row by row: the config and the
+    summary as comment lines, then a header and one line per row."""
+    handle.write("# config: " + canonical_json(config) + "\n")
     if summary is not None:
-        buf.write("# summary: " + canonical_json(summary) + "\n")
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        handle.write("# summary: " + canonical_json(summary) + "\n")
+    writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: csv_cell(v) for k, v in row.items()})
-    return buf.getvalue()
 
 
 def potential_fields(profile, epsilon):
@@ -337,13 +325,17 @@ def cmd_lowerbound(params: dict, master_seed, trials):
         report = secondmoment.expected_cluster_count(
             params["n"], params["messages"], params["max_list"], params["radius"]
         )
+        try:
+            value_float = float(report.value)
+        except OverflowError:  # E[W] >= 0 past float range, written as Infinity
+            value_float = math.inf
         result = {
             "n": report.n,
             "r": report.radius,
             "messages": report.num_messages,
             "L": report.list_size,
             "value": report.value,
-            "value_float": float(report.value),
+            "value_float": value_float,
             "floor": report.floor,
             "floor_applies": report.floor_applies,
             "floor_holds": report.floor_holds,
@@ -674,10 +666,9 @@ def run_config(config: dict) -> int:
     if fmt == "csv" and csv_payload is None:
         raise InvalidParameterError(f"subcommand {sub!r} has no CSV form")
     if fmt == "csv":
-        text = render_csv(config, *csv_payload)
 
         def write(handle):
-            handle.write(text)
+            write_csv(handle, config, *csv_payload)
 
     else:
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import limits, precise
-from .counting import hamming_volume
+from .counting import hamming_volume, log2_fraction
 from .errors import ConstructionError, InvalidParameterError
 from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
@@ -169,15 +169,11 @@ def potential_guided_code(
             if draws > 64 * (max_retries_per_step + 1):
                 fail(f"step {step}: candidate supply exhausted")
             b = rng.bits(n)
-            if basis.contains(b):
+            b_reduced = basis.reduce(b)
+            if b_reduced == 0:
                 if basis.dim == n:
                     fail(f"step {step}: span is already the full space")
                 continue
-            # coset_reduce's pivot loop on one int, without a one-word array.
-            b_reduced = b
-            for h in sorted(basis.pivots, reverse=True):
-                if (b_reduced >> h) & 1:
-                    b_reduced ^= basis.pivots[h]
             # b_reduced is 0 at every pivot of C, so its leading bit is the
             # new pivot and this is coset_reduce by it.
             cand_reduced = np.minimum(reduced, reduced ^ np.int64(b_reduced))
@@ -249,8 +245,9 @@ def lll_condition(n: int, radius: int, num_messages: int, max_list: int) -> LLLR
         lambda ctx: ctx.exp(1) * precise.iv_fraction(ctx, p_bad) * (degree + 1),
         lambda ctx: ctx.mpf(1),
     )
-    product_log2 = math.log2(math.e) + math.log2(float(p_bad)) + math.log2(degree + 1) \
-        if p_bad > 0 else float("-inf")
+    # p_bad >= 2^(-n(L+1)) > 0, but its float underflows to 0 at large L.
+    p_bad_log2 = math.log2(float(p_bad)) if float(p_bad) else log2_fraction(p_bad)
+    product_log2 = math.log2(math.e) + p_bad_log2 + math.log2(degree + 1)
     return LLLReport(
         n=n,
         radius=radius,
@@ -335,12 +332,12 @@ def moser_tardos_construct(
         old = words[inside]
         fresh = rng.bit_array(n, len(inside))
         words[inside] = fresh
-        for centers in outer_xor_chunks(old, ball, limits.CHUNK_PAIRS):
+        for centers in outer_xor_chunks(old, ball):
             np.subtract.at(table, centers, 1)
         # Only centers in a fresh ball gained, and the adds never lower a
         # count, so a center that turns overfull crosses max_list in exactly
         # one chunk; one still overfull after the subtraction is queued already.
-        for centers in outer_xor_chunks(fresh, ball, limits.CHUNK_PAIRS):
+        for centers in outer_xor_chunks(fresh, ball):
             below = table[centers] <= max_list
             np.add.at(table, centers, 1)
             for c in set(centers[below & (table[centers] > max_list)].tolist()):

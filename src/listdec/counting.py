@@ -71,6 +71,18 @@ def overlap_decay(p: float) -> float:
     return 0.5 * math.log2(1.0 / (4.0 * p * (1.0 - p)))
 
 
+def log2_fraction(value: Fraction) -> float:
+    """log2 of a positive rational, safe for arbitrarily large terms."""
+    if value <= 0:
+        raise InvalidParameterError("log2 needs a positive value")
+
+    def log2_int(x: int) -> float:
+        shift = max(0, x.bit_length() - 53)
+        return math.log2(x >> shift) + shift
+
+    return log2_int(value.numerator) - log2_int(value.denominator)
+
+
 @dataclass(frozen=True)
 class IntersectionBound:
     d: int

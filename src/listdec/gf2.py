@@ -129,7 +129,11 @@ def rank_of_ints(rows: Iterable[int]) -> int:
 
 
 class SpanBasis:
-    """Incremental reduced basis for span membership and extension."""
+    """Incremental echelon basis for span membership, extension and coset
+    reduction.
+
+    pivots maps each pivot bit h to the basis row whose leading bit is h, in
+    descending h; every row is 0 at the pivots above its own."""
 
     def __init__(self, vectors: Iterable[int] = ()):
         self.pivots: dict[int, int] = {}
@@ -137,11 +141,12 @@ class SpanBasis:
             self.insert(v)
 
     def reduce(self, v: int) -> int:
-        while v:
-            h = v.bit_length() - 1
-            if h not in self.pivots:
-                break
-            v ^= self.pivots[h]
+        """The least element of v's coset of the span, 0 exactly when v is in
+        it: every pivot bit is cleared, from the top pivot down (the int
+        twin of listsize.coset_reduce)."""
+        for h, row in self.pivots.items():
+            if (v >> h) & 1:
+                v ^= row
         return v
 
     def contains(self, v: int) -> bool:
@@ -153,6 +158,7 @@ class SpanBasis:
         if v == 0:
             return False
         self.pivots[v.bit_length() - 1] = v
+        self.pivots = dict(sorted(self.pivots.items(), reverse=True))
         return True
 
     @property
@@ -232,9 +238,6 @@ class Rng:
             entropy=self.master_seed, spawn_key=(self.stream_index, *self.subkey)
         )
         self._gen = np.random.Generator(np.random.PCG64(seq))
-
-    def stream(self, index: int) -> "Rng":
-        return Rng(self.master_seed, index)
 
     def substream(self, *key: int) -> "Rng":
         """Independent child stream; used to give each trial its own stream."""

@@ -47,10 +47,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 import numpy as np
 
-from . import counting, precise
+from . import counting, limits, precise
 from .errors import InvalidParameterError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
-from .limits import CHUNK_PAIRS, MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
+from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
 POTENTIAL_PREC = 160
 # Entries of the potential_power cache: one per (context, precision, epsilon,
@@ -149,16 +149,9 @@ class ListProfile:
         if total != 1 << self.universe_bits:
             raise InvalidParameterError("profile counts must cover the whole space")
 
-    @cached_property
-    def count_map(self) -> dict[int, int]:
-        return dict(self.counts)
-
     @property
     def max_ell(self) -> int:
         return max((ell for ell, c in self.counts if c > 0), default=0)
-
-    def count(self, ell: int) -> int:
-        return self.count_map.get(ell, 0)
 
     @property
     def total_mass(self) -> int:
@@ -181,30 +174,25 @@ def check_scatter_caps(universe_bits: int, increments: int = 0) -> None:
     check_count(increments, SCATTER_MAX, "scatter would need {} increments")
 
 
-def scatter_table(
-    words: np.ndarray, ball: np.ndarray, universe_bits: int, chunk_pairs: int = CHUNK_PAIRS
-) -> np.ndarray:
-    """Per-center list sizes by scattering each word's ball (cost |C| * Vol).
-
-    chunk_pairs bounds the size of the transient XOR matrix.
-    """
+def scatter_table(words: np.ndarray, ball: np.ndarray, universe_bits: int) -> np.ndarray:
+    """Per-center list sizes by scattering each word's ball (cost |C| * Vol)."""
     check_scatter_caps(universe_bits, len(words) * len(ball))
     size = 1 << universe_bits
     if len(words) == 0 or len(ball) == 0:
         return np.zeros(size, dtype=np.int64)
-    return xor_counts(words, ball, size, chunk_pairs)
+    return xor_counts(words, ball, size)
 
 
-def outer_xor_chunks(left: np.ndarray, right: np.ndarray, chunk_pairs: int):
+def outer_xor_chunks(left: np.ndarray, right: np.ndarray):
     """Every left[i] ^ right[j], row-major and duplicates kept, as flat arrays
-    of whole rows, at most chunk_pairs entries each (one row if a row is
-    longer)."""
-    chunk = max(1, chunk_pairs // len(right))
+    of whole rows, at most limits.CHUNK_PAIRS entries each (one row if a row
+    is longer); the cap is read at call time."""
+    chunk = max(1, limits.CHUNK_PAIRS // len(right))
     for start in range(0, len(left), chunk):
         yield (left[start : start + chunk, None] ^ right[None, :]).ravel()
 
 
-def xor_counts(left: np.ndarray, right: np.ndarray, size: int, chunk_pairs: int) -> np.ndarray:
+def xor_counts(left: np.ndarray, right: np.ndarray, size: int) -> np.ndarray:
     """cnt[c] = #{(i, j) in left x right : i ^ j = c} for c < size, from one
     bincount per chunk of outer_xor_chunks.
 
@@ -214,7 +202,7 @@ def xor_counts(left: np.ndarray, right: np.ndarray, size: int, chunk_pairs: int)
     back to the system after each call (and were faulted in again) depended on
     the heap layout, which made op times bimodal."""
     counts = None
-    for pairs in outer_xor_chunks(left, right, chunk_pairs):
+    for pairs in outer_xor_chunks(left, right):
         part = np.bincount(pairs, minlength=size)
         if counts is None:
             counts = part
@@ -224,7 +212,8 @@ def xor_counts(left: np.ndarray, right: np.ndarray, size: int, chunk_pairs: int)
 
 
 def coset_reduce(basis: SpanBasis, words: np.ndarray) -> np.ndarray:
-    """Each word replaced by the least element of its coset of span(basis).
+    """Each word replaced by the least element of its coset of span(basis):
+    SpanBasis.reduce on an array.
 
     Every pivot bit is cleared, from the top pivot down: the pivot row of h
     has leading bit h, so XOR with it lowers a word exactly when bit h is set,
@@ -233,8 +222,8 @@ def coset_reduce(basis: SpanBasis, words: np.ndarray) -> np.ndarray:
     makes it the least element of its coset (and the only one that is 0 at
     every pivot)."""
     out = np.asarray(words, dtype=np.int64)
-    for h in sorted(basis.pivots, reverse=True):
-        out = np.minimum(out, out ^ np.int64(basis.pivots[h]))
+    for row in basis.pivots.values():
+        out = np.minimum(out, out ^ np.int64(row))
     return out
 
 
@@ -526,7 +515,7 @@ def quotient_index(basis: SpanBasis, reduced: np.ndarray, universe_bits: int) ->
     return out
 
 
-def coset_pair_weights(table: np.ndarray, chunk_pairs: int = CHUNK_PAIRS) -> np.ndarray:
+def coset_pair_weights(table: np.ndarray) -> np.ndarray:
     """rows[c, s] = #{cosets u : L(u) + L(u + c) = s} for every coset c.
 
     table holds L of every coset, indexed by quotient_index.  L_{C+b}(x) =
@@ -540,9 +529,8 @@ def coset_pair_weights(table: np.ndarray, chunk_pairs: int = CHUNK_PAIRS) -> np.
     its class, on either side, so a + v gets 2|D_a| less 2 cnt_ab for every
     partner level b (and b + v likewise when a != b); the rest put 2v.  Only
     |D|^2 pairs are enumerated: D is the nonempty cosets when most cosets are
-    empty, and none at all when L is constant.  chunk_pairs bounds the
-    transient pair arrays.  The rows are accumulated one list size at a time
-    (a width x Q array) and returned as its transpose."""
+    empty, and none at all when L is constant.  The rows are accumulated one
+    list size at a time (a width x Q array) and returned as its transpose."""
     hist = np.bincount(table)
     mode = int(np.argmax(hist))
     size = len(table)
@@ -555,7 +543,7 @@ def coset_pair_weights(table: np.ndarray, chunk_pairs: int = CHUNK_PAIRS) -> np.
     for x, (a, left) in enumerate(levels):
         cols[a + mode] += 2 * len(left)
         for b, right in levels[x:]:
-            cnt = xor_counts(left, right, size, chunk_pairs)
+            cnt = xor_counts(left, right, size)
             if a == b:
                 cols[2 * a] += cnt
                 cols[2 * mode] += cnt

@@ -23,7 +23,7 @@ import numpy as np
 from . import precise
 from .counting import rank_ball_size
 from .errors import InvalidParameterError
-from .gf2 import BitMatrix, Rng, SpanBasis, rank_of_ints
+from .gf2 import BitMatrix, Rng, SpanBasis
 from .limits import ENUM_MAX_WORDS, MAX_WORDS, WORD_BITS, check_count, check_word_bits
 from .listsize import Certificate, StepReport, certify, check_potential_step, potential_exponent
 
@@ -111,9 +111,7 @@ class RankCode:
 
 def rank_distance(x: BitMatrix, y: BitMatrix) -> int:
     """Rank of the entrywise XOR; the integer rank distance."""
-    if (x.m, x.n) != (y.m, y.n):
-        raise InvalidParameterError("matrix shape mismatch")
-    return rank_of_ints([a ^ b for a, b in zip(x.rows, y.rows)])
+    return (x ^ y).rank()
 
 
 def rank_array(words: np.ndarray, m: int, n: int) -> np.ndarray:

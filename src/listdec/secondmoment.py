@@ -16,6 +16,7 @@ from .counting import (
     binary_entropy,
     hamming_volume,
     intersection_volume,
+    log2_fraction,
     overlap_decay,
     rank_ball_size,
 )
@@ -30,18 +31,6 @@ def ball_fraction(n: int, radius: int) -> Fraction:
     if not 0 <= radius <= n:
         raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
     return Fraction(hamming_volume(n, radius), 1 << n)
-
-
-def log2_fraction(value: Fraction) -> float:
-    """log2 of a positive rational, safe for arbitrarily large terms."""
-    if value <= 0:
-        raise InvalidParameterError("log2 needs a positive value")
-
-    def log2_int(x: int) -> float:
-        shift = max(0, x.bit_length() - 53)
-        return math.log2(x >> shift) + shift
-
-    return log2_int(value.numerator) - log2_int(value.denominator)
 
 
 @dataclass(frozen=True)
@@ -251,7 +240,7 @@ def _max_list_and_witness(code, radius: int) -> tuple[int, str]:
     list_sizes: the first listed center at the top size."""
     centers, sizes, _ = list_sizes(code, radius)
     top = int(sizes.max())
-    return top, format(int(centers[int(np.argmax(sizes == top))]), f"0{code.n}b")
+    return top, code.witness(int(centers[int(np.argmax(sizes == top))])).to_string()
 
 
 def separation_experiment(
@@ -272,28 +261,22 @@ def separation_experiment(
     if trials:
         # The uniform table's caps, checked before any code is drawn.
         check_scatter_caps(n, num_messages * hamming_volume(n, radius))
+    families = (
+        ("linear", lambda stream: random_linear_code(n, k, stream)),
+        ("uniform", lambda stream: uniform_random_code(n, num_messages, stream)),
+    )
     rows = []
-    linear_max = []
-    uniform_max = []
+    maxima = {family: [] for family, _ in families}
     for t in range(trials):
-        code = random_linear_code(n, k, rng.substream(t, 0))
-        top, witness = _max_list_and_witness(code, radius)
-        linear_max.append(top)
-        rows.append(
-            SeparationRow(
-                trial=t, family="linear", seed=rng.master_seed, n=n, radius=radius,
-                rate=rate, max_list=top, witness=witness,
+        for index, (family, draw) in enumerate(families):
+            top, witness = _max_list_and_witness(draw(rng.substream(t, index)), radius)
+            maxima[family].append(top)
+            rows.append(
+                SeparationRow(
+                    trial=t, family=family, seed=rng.master_seed, n=n, radius=radius,
+                    rate=rate, max_list=top, witness=witness,
+                )
             )
-        )
-        table_code = uniform_random_code(n, num_messages, rng.substream(t, 1))
-        top, witness = _max_list_and_witness(table_code, radius)
-        uniform_max.append(top)
-        rows.append(
-            SeparationRow(
-                trial=t, family="uniform", seed=rng.master_seed, n=n, radius=radius,
-                rate=rate, max_list=top, witness=witness,
-            )
-        )
 
     def stats(values):
         if not values:
@@ -314,8 +297,8 @@ def separation_experiment(
         "k": k,
         "num_messages": num_messages,
         "trials": trials,
-        "linear": stats(linear_max),
-        "uniform": stats(uniform_max),
+        "linear": stats(maxima["linear"]),
+        "uniform": stats(maxima["uniform"]),
     }
     if trials:
         summary["median_gap_ok"] = (

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import mpmath
+import numpy as np
 import pytest
 
 from listdec import (
@@ -18,7 +20,7 @@ from listdec import (
     list_profile,
     random_linear_code,
 )
-from listdec.cli import main
+from listdec.cli import encode, main
 
 
 def run_cli(*args) -> int:
@@ -194,6 +196,19 @@ class TestConstructKinds:
         assert payload["result"]["lll"]["feasible"] is True
         assert payload["result"]["certified"] is True
 
+    def test_lll_p_bad_below_float_range(self, tmp_path):
+        # p_bad = 2^-1080 rounds to 0 as a float; its log2 is still finite.
+        out = tmp_path / "lll.json"
+        assert run_cli(
+            "construct", "--kind", "lll", "--n", "20", "--radius", "0",
+            "--messages", "54", "--max-list", "53", "--out", str(out),
+        ) == 0
+        lll = json.loads(out.read_text())["result"]["lll"]
+        assert lll["p_bad"] == f"1/{1 << 1080}"
+        assert lll["product_log2"] == pytest.approx(
+            math.log2(math.e) - 1080 + math.log2((1 << 20) * 54 * 54**53 + 1), rel=1e-12
+        )
+
     def test_guided_failure_exit_one(self):
         code = run_cli(
             "construct", "--kind", "guided", "--n", "8", "--k", "2",
@@ -233,6 +248,15 @@ class TestLowerboundCli:
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["result"]["value"] == "25/8"
+
+    def test_ew_past_float_range(self, tmp_path):
+        out = tmp_path / "ew.json"
+        assert run_cli(
+            "lowerbound", "ew", "--n", "62", "--messages", str(1 << 62), "--max-list", "20",
+            "--radius", "31", "--out", str(out),
+        ) == 0
+        assert "Infinity" in out.read_text()
+        assert json.loads(out.read_text())["result"]["value_float"] == math.inf
 
     def test_params(self, tmp_path):
         out = tmp_path / "p.json"
@@ -383,3 +407,14 @@ class TestSweep:
         a = out1.read_text().splitlines()
         b = out2.read_text().splitlines()
         assert a[1:] == b[1:]  # identical rows; config echo differs only in path
+
+
+@pytest.mark.parametrize(
+    "value", [BitVector(3, 5), constructors.StepRecord(0, 1.0, 0.0, 0), np.int64(3)],
+    ids=["bitvector", "dataclass", "numpy-scalar"],
+)
+def test_encode_takes_only_fractions(value):
+    # The handlers render words, witnesses and records as JSON types, so a
+    # BitVector, a dataclass or a numpy scalar reaching the encoder is a bug.
+    with pytest.raises(TypeError):
+        encode(value)

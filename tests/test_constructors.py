@@ -419,6 +419,16 @@ class TestLLLCondition:
         with pytest.raises(InvalidParameterError):
             lll_condition(10, 1, 3, 3)
 
+    def test_p_bad_below_float_range(self):
+        # p_bad = (31 / 2^30)^51 is about 2^-1277, below the least subnormal.
+        report = lll_condition(30, 1, 60, 50)
+        assert float(report.p_bad) == 0
+        with mpmath.workprec(200):
+            exact = mpmath.log(mpmath.e * mpmath.mpf(report.p_bad.numerator)
+                               / report.p_bad.denominator * (report.degree + 1), 2)
+        assert report.product_log2 == pytest.approx(float(exact), rel=1e-12)
+        assert report.feasible
+
 
 class TestMoserTardos:
     def test_trivial_when_list_budget_covers_messages(self):

@@ -1,6 +1,7 @@
 """One owner for every resource cap: listdec.limits holds the cap values and
-is the only module that raises ResourceLimitError.  Likewise one owner for
-the float decision margin: only listdec.precise names RECHECK_MARGIN."""
+is the only module that raises ResourceLimitError, and the chunk size is read
+from it at call time.  Likewise one owner for the float decision margin: only
+listdec.precise names RECHECK_MARGIN."""
 
 from __future__ import annotations
 
@@ -62,3 +63,16 @@ def test_only_precise_names_the_recheck_margin():
         or (isinstance(node, ast.alias) and node.name == "RECHECK_MARGIN")
     }
     assert naming == {"precise"}
+
+
+def test_chunk_size_read_only_from_limits_at_call_time():
+    # A name imported from limits, or a parameter default, is bound at import,
+    # so a patched limits.CHUNK_PAIRS would not reach that code.
+    binding = {
+        name
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name == "CHUNK_PAIRS")
+        or (isinstance(node, ast.arg) and node.arg == "chunk_pairs")
+    }
+    assert binding == set()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from listdec import (
     tail_stats,
     uniform_random_code,
 )
-from listdec import listsize, precise
+from listdec import limits, listsize, precise
 from listdec.counting import binary_entropy
 from listdec.gf2 import BitMatrix, SpanBasis, ball_masks
 from listdec.limits import SCATTER_MAX, WORD_BITS
@@ -235,6 +236,28 @@ class TestCosetEngine:
         words += [w ^ g for w, g in data.draw(st.lists(shifts, max_size=10))]
         words = np.array(words, dtype=np.int64)
         assert np.array_equal(coset_reduce(basis, words), coset_reduce_masked(basis, words))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_span_basis_reduce_is_least_coset_element(self, data):
+        # Dependent generators as above; the span, closed by brute force,
+        # has at most 2^12 elements.
+        n = data.draw(st.integers(1, WORD_BITS))
+        word = st.integers(0, (1 << n) - 1)
+        gens = data.draw(st.lists(word, min_size=1, max_size=8))
+        pairs = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+        gens += [a ^ b for a, b in data.draw(st.lists(pairs, max_size=4))]
+        basis = SpanBasis(data.draw(st.permutations(gens)))
+        span = {0}
+        for g in gens:
+            span |= {c ^ g for c in span}
+        shifts = st.builds(lambda w, c: w ^ c, word, st.sampled_from(sorted(span)))
+        for v in data.draw(st.lists(st.one_of(word, shifts), min_size=1, max_size=20)):
+            least = basis.reduce(v)
+            assert least == min(v ^ c for c in span)
+            assert least == int(coset_reduce(basis, np.array([v], dtype=np.int64))[0])
+            assert basis.contains(v) == (v in span)
+        assert 1 << basis.dim == len(span)
 
     def test_reps_are_least_coset_elements(self):
         code = random_linear_code(10, 4, Rng(27, 0))
@@ -589,12 +612,14 @@ def seeded_step_codes(count: int, max_n: int, seed: int):
 
 
 def weight_rows(code, radius: int, chunk_pairs: int = 1 << 24) -> np.ndarray:
-    """coset_pair_weights scaled by 2^dim and spread to every candidate b."""
+    """coset_pair_weights, at this chunk size, scaled by 2^dim and spread to
+    every candidate b."""
     basis, n = code.basis, code.n
     reps, mult = coset_counts(basis, ball_masks(n, radius))
     table = np.zeros(1 << (n - basis.dim), dtype=np.int64)
     table[quotient_index(basis, reps, n)] = mult
-    rows = coset_pair_weights(table, chunk_pairs)
+    with mock.patch.object(limits, "CHUNK_PAIRS", chunk_pairs):
+        rows = coset_pair_weights(table)
     classes = quotient_index(basis, coset_reduce(basis, np.arange(1 << n)), n)
     return rows[classes] << basis.dim
 
@@ -618,6 +643,43 @@ def level_tables(draw):
     return table, draw(st.sampled_from([1, 2, 5, 1 << 24]))
 
 
+class TestChunkSetting:
+    """limits.CHUNK_PAIRS, read at call time, bounds every outer-XOR chunk of
+    scatter_table and coset_pair_weights (one whole row if a row is longer)."""
+
+    @staticmethod
+    def chunk_lengths(monkeypatch, cap: int) -> list[tuple[int, int]]:
+        """Set the cap; the returned list fills with (chunk length, row
+        length) for every chunk outer_xor_chunks yields."""
+        monkeypatch.setattr(limits, "CHUNK_PAIRS", cap)
+        seen = []
+        original = listsize.outer_xor_chunks
+
+        def spy(left, right):
+            for chunk in original(left, right):
+                seen.append((len(chunk), len(right)))
+                yield chunk
+
+        monkeypatch.setattr(listsize, "outer_xor_chunks", spy)
+        return seen
+
+    def test_scatter_table(self, monkeypatch):
+        words = Rng(71, 0).bit_array(10, 37)
+        ball = ball_masks(10, 1)
+        full = scatter_table(words, ball, 10)
+        seen = self.chunk_lengths(monkeypatch, 2 * len(ball))
+        assert (scatter_table(words, ball, 10) == full).all()
+        assert [length for length, _ in seen] == [2 * len(ball)] * 18 + [len(ball)]
+
+    def test_coset_pair_weights(self, monkeypatch):
+        table = np.full(64, 2, dtype=np.int64)
+        table[[1, 7, 20, 33, 60]] = 0
+        table[[2, 3, 5, 11, 13]] = 1
+        seen = self.chunk_lengths(monkeypatch, 1)
+        assert (coset_pair_weights(table) == class_pair_counts(table)).all()
+        assert len(seen) == 15 and all(length == row for length, row in seen)
+
+
 class TestCosetPairWeights:
     """coset_pair_weights against the brute-force count of every class."""
 
@@ -625,7 +687,8 @@ class TestCosetPairWeights:
     @given(level_tables())
     def test_matches_class_by_class_count(self, drawn):
         table, chunk_pairs = drawn
-        assert (coset_pair_weights(table, chunk_pairs) == class_pair_counts(table)).all()
+        with mock.patch.object(limits, "CHUNK_PAIRS", chunk_pairs):
+            assert (coset_pair_weights(table) == class_pair_counts(table)).all()
 
     @pytest.mark.parametrize("chunk_pairs", [1, 3, 1 << 24])
     @pytest.mark.parametrize(
@@ -637,7 +700,8 @@ class TestCosetPairWeights:
         table = np.full(64, 2, dtype=np.int64)
         for level, classes in levels.items():
             table[classes] = level
-        assert (coset_pair_weights(table, chunk_pairs) == class_pair_counts(table)).all()
+        with mock.patch.object(limits, "CHUNK_PAIRS", chunk_pairs):
+            assert (coset_pair_weights(table) == class_pair_counts(table)).all()
 
 
 class TestCosetStepEngine:

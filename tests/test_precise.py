@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from listdec import (
 )
 from listdec.gf2 import BitVector, ball_masks
 from listdec.listsize import scatter_table
-from listdec import precise
+from listdec import limits, precise
 from listdec.precise import (
     certified_le,
     certified_less,
@@ -136,7 +137,8 @@ class TestScatterChunking:
         words = rng.bit_array(10, 37)
         ball = ball_masks(10, 2)
         full = scatter_table(words, ball, 10)
-        tiny_chunks = scatter_table(words, ball, 10, chunk_pairs=8)
+        with mock.patch.object(limits, "CHUNK_PAIRS", 8):
+            tiny_chunks = scatter_table(words, ball, 10)
         assert (full == tiny_chunks).all()
 
     def test_table_cap(self):
