@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import tempfile
@@ -40,11 +39,6 @@ def encode(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def csv_cell(value):
-    """A CSV cell: a Fraction as encode writes it, any other value as is."""
-    return encode(value) if isinstance(value, Fraction) else value
 
 
 CANONICAL = {"sort_keys": True, "separators": (",", ":"), "default": encode}
@@ -77,110 +71,58 @@ def write_json(handle, config: dict, result) -> None:
     handle.write("\n")
 
 
-def write_csv(handle, config: dict, columns: list[str], rows: list[dict], summary: dict | None) -> None:
+def write_csv(handle, config: dict, summary: dict, columns: list[str], rows: list[dict]) -> None:
     """The run's CSV document, streamed row by row: the config and the
-    summary as comment lines, then a header and one line per row."""
+    summary as comment lines, then a header and one line per row.  Rows hold
+    plain ints, floats, strs and bools."""
     handle.write("# config: " + canonical_json(config) + "\n")
-    if summary is not None:
-        handle.write("# summary: " + canonical_json(summary) + "\n")
+    handle.write("# summary: " + canonical_json(summary) + "\n")
     writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: csv_cell(v) for k, v in row.items()})
+    writer.writerows(rows)
 
 
-def potential_fields(profile, epsilon):
-    state = listsize.potential(profile, epsilon)
-    return state.value_float, state.excess_float
-
-
-def need(params: dict, *keys: str) -> None:
+def need(params: dict, *keys: str) -> tuple:
+    """The values of the required keys, in order."""
     missing = [k for k in keys if params.get(k) is None]
     if missing:
         raise InvalidParameterError(f"missing required parameters: {', '.join(missing)}")
+    return tuple(params[k] for k in keys)
 
 
-def build_code(params: dict, rng: Rng):
-    family = params.get("family", "linear")
-    need(params, "n")
-    n = params["n"]
-    if family == "linear":
-        need(params, "k")
-        return constructors.random_linear_code(n, params["k"], rng)
-    if family == "uniform":
-        need(params, "messages", "radius")
-        # The library's table caps, checked before any word is drawn.
-        volume = counting.hamming_volume(n, params["radius"])
-        listsize.check_scatter_caps(n, params["messages"] * volume)
-        return constructors.uniform_random_code(n, params["messages"], rng)
-    raise InvalidParameterError(f"unknown code family {family!r}")
+# Report fields the output names otherwise.
+RENAMED = {
+    "radius": "r",
+    "num_messages": "messages",
+    "list_size": "L",
+    "volume": "vol",
+    "upper_bound": "entropy_bound",
+}
 
 
-def cmd_volumes(params: dict, master_seed, trials):
-    need(params, "n", "radius")
-    report = counting.check_volume_bounds(params["n"], params["radius"])
-    result = {
-        "n": report.n,
-        "r": report.r,
-        "vol": report.volume,
-        "binomial": report.binomial,
-        "entropy_bound": report.upper_bound,
-        "lower_bound": report.lower_bound,
-        "sandwich_holds": report.sandwich_holds,
-        "intersection": [
-            {"d": c.d, "exact": c.exact, "ratio": c.ratio, "bound": c.bound, "holds": c.holds}
-            for c in report.intersection
-        ],
-        "intersection_all_hold": report.intersection_all_hold,
-    }
-    ok = report.sandwich_holds and report.intersection_all_hold
-    return result, EXIT_OK if ok else EXIT_WITNESS, None
+def renamed(report) -> dict:
+    return {RENAMED.get(k, k): v for k, v in vars(report).items()}
 
 
-def cmd_profile(params: dict, master_seed, trials):
-    need(params, "n", "radius", "epsilon")
-    n, radius = params["n"], params["radius"]
-    code = build_code(params, Rng(master_seed, 0))
-    profile = listsize.list_profile(code, radius)
-    value, excess = potential_fields(profile, params["epsilon"])
-    p_geq = {}
-    q_geq = {}
-    for ell in range(1, profile.max_ell + 1):
-        p_tail, q_tail = listsize.tail_stats(profile, ell)
-        p_geq[str(ell)] = p_tail
-        q_geq[str(ell)] = q_tail
-    result = {
-        "n": n,
-        "r": radius,
-        "family": params.get("family", "linear"),
-        "k": params.get("k"),
-        "messages": params.get("messages"),
-        "effective_dim": getattr(code, "effective_dim", None),
-        "counts": {str(ell): c for ell, c in profile.counts},
-        "max_ell": profile.max_ell,
-        "P_geq": p_geq,
-        "Q_geq": q_geq,
-        "S": value,
-        "T": excess,
-    }
-    return result, EXIT_OK, None
+def profile_fields(profile, epsilon) -> dict:
+    """A list profile's counts and max_ell, and its potential S and excess T
+    when epsilon is given."""
+    fields = {"counts": {str(ell): c for ell, c in profile.counts}, "max_ell": profile.max_ell}
+    if epsilon is not None:
+        state = listsize.potential(profile, epsilon)
+        fields.update(S=state.value_float, T=state.excess_float)
+    return fields
 
 
-def cmd_certify(params: dict, master_seed, trials):
-    need(params, "n", "radius", "max_list")
-    n, radius = params["n"], params["radius"]
-    code = build_code(params, Rng(master_seed, 0))
-    cert = listsize.certify(code, radius, params["max_list"])
-    result = {
-        "n": n,
-        "r": radius,
-        "max_list_allowed": params["max_list"],
+def certificate_fields(cert, max_list: int) -> tuple[dict, int]:
+    """A certificate's fields, and its exit code."""
+    fields = {
+        "max_list_allowed": max_list,
         "decodable": cert.decodable,
         "max_list": cert.max_list,
-        "checked_count": cert.checked_count,
-        "witness": cert.witness.to_string() if cert.witness is not None else None,
+        "witness": None if cert.witness is None else cert.witness.to_string(),
     }
-    return result, EXIT_OK if cert.decodable else EXIT_WITNESS, None
+    return fields, EXIT_OK if cert.decodable else EXIT_WITNESS
 
 
 def word_strings(table) -> list[str]:
@@ -189,78 +131,111 @@ def word_strings(table) -> list[str]:
     return [format(w, f"0{table.n}b") for w in table.array.tolist()]
 
 
+def generator_strings(code) -> list[str]:
+    return [g.to_string() for g in code.generators]
+
+
+def build_code(params: dict, rng: Rng):
+    family = params.get("family", "linear")
+    (n,) = need(params, "n")
+    if family == "linear":
+        return constructors.random_linear_code(n, *need(params, "k"), rng)
+    if family == "uniform":
+        messages, radius = need(params, "messages", "radius")
+        # The library's table caps, checked before any word is drawn.
+        listsize.check_scatter_caps(n, messages * counting.hamming_volume(n, radius))
+        return constructors.uniform_random_code(n, messages, rng)
+    raise InvalidParameterError(f"unknown code family {family!r}")
+
+
+def cmd_volumes(params: dict, master_seed, trials):
+    report = counting.check_volume_bounds(*need(params, "n", "radius"))
+    result = {**renamed(report), "intersection": [vars(c) for c in report.intersection]}
+    ok = report.sandwich_holds and report.intersection_all_hold
+    return result, EXIT_OK if ok else EXIT_WITNESS, None
+
+
+def cmd_profile(params: dict, master_seed, trials):
+    n, radius, epsilon = need(params, "n", "radius", "epsilon")
+    code = build_code(params, Rng(master_seed, 0))
+    profile = listsize.list_profile(code, radius)
+    tails = {str(ell): listsize.tail_stats(profile, ell) for ell in range(1, profile.max_ell + 1)}
+    result = {
+        "n": n,
+        "r": radius,
+        "family": params.get("family", "linear"),
+        "k": params.get("k"),
+        "messages": params.get("messages"),
+        "effective_dim": getattr(code, "effective_dim", None),
+        "P_geq": {ell: p for ell, (p, _) in tails.items()},
+        "Q_geq": {ell: q for ell, (_, q) in tails.items()},
+        **profile_fields(profile, epsilon),
+    }
+    return result, EXIT_OK, None
+
+
+def cmd_certify(params: dict, master_seed, trials):
+    n, radius, max_list = need(params, "n", "radius", "max_list")
+    code = build_code(params, Rng(master_seed, 0))
+    cert = listsize.certify(code, radius, max_list)
+    fields, exit_code = certificate_fields(cert, max_list)
+    return {"n": n, "r": radius, "checked_count": cert.checked_count, **fields}, exit_code, None
+
+
 def cmd_construct(params: dict, master_seed, trials):
-    need(params, "kind")
-    kind = params["kind"]
-    need(params, "n")
-    n = params["n"]
-    radius = params.get("radius")
+    (kind,) = need(params, "kind")
+    (n,) = need(params, "n")
+    radius, max_list = params.get("radius"), params.get("max_list")
     rng = Rng(master_seed, 0)
     result: dict = {"kind": kind, "n": n}
 
     if kind == "linear":
-        need(params, "k")
-        built = constructors.random_linear_code(n, params["k"], rng)
-        result["generators"] = [g.to_string() for g in built.generators]
-        result["effective_dim"] = built.effective_dim
+        built = constructors.random_linear_code(n, *need(params, "k"), rng)
+        result.update(generators=generator_strings(built), effective_dim=built.effective_dim)
     elif kind == "uniform":
-        need(params, "messages")
-        built = constructors.uniform_random_code(n, params["messages"], rng)
+        built = constructors.uniform_random_code(n, *need(params, "messages"), rng)
         result["words"] = word_strings(built)
     elif kind == "guided":
-        need(params, "k", "radius", "epsilon")
+        k, radius, epsilon = need(params, "k", "radius", "epsilon")
         try:
             built, trace = constructors.potential_guided_code(
                 n,
-                params["k"],
+                k,
                 radius,
-                params["epsilon"],
+                epsilon,
                 rng,
                 max_retries_per_step=params.get("max_retries", constructors.DEFAULT_MAX_RETRIES),
                 rule=params.get("rule", "step"),
             )
         except ConstructionError as exc:
-            partial_code, partial_trace = exc.partial
+            built, trace = exc.partial
             result["error"] = str(exc)
-            result["generators"] = [g.to_string() for g in partial_code.generators]
-            result["trace"] = [vars(r) for r in partial_trace.records]
-            return result, EXIT_WITNESS, None
-        result["generators"] = [g.to_string() for g in built.generators]
-        result["effective_dim"] = built.effective_dim
+        result["generators"] = generator_strings(built)
         result["trace"] = [vars(r) for r in trace.records]
-        result["total_retries"] = trace.total_retries
+        if "error" in result:
+            return result, EXIT_WITNESS, None
+        result.update(effective_dim=built.effective_dim, total_retries=trace.total_retries)
     elif kind == "lll":
-        need(params, "radius", "messages", "max_list")
-        report = constructors.lll_condition(n, radius, params["messages"], params["max_list"])
+        radius, messages, max_list = need(params, "radius", "messages", "max_list")
+        report = constructors.lll_condition(n, radius, messages, max_list)
         result["lll"] = {
-            "p_bad": report.p_bad,
-            "degree": report.degree,
-            "product_log2": report.product_log2,
-            "feasible": report.feasible,
+            k: getattr(report, k) for k in ("p_bad", "degree", "product_log2", "feasible")
         }
         try:
             mt = constructors.moser_tardos_construct(
-                n,
-                radius,
-                params["messages"],
-                params["max_list"],
-                rng,
-                max_rounds=params.get("max_rounds"),
+                n, radius, messages, max_list, rng, max_rounds=params.get("max_rounds")
             )
         except ConstructionError as exc:
-            result["error"] = str(exc)
-            result["words"] = word_strings(exc.partial)
+            result.update(error=str(exc), words=word_strings(exc.partial))
             return result, EXIT_WITNESS, None
         built = mt.code
-        result["words"] = word_strings(built)
-        result["rounds"] = mt.rounds
+        result.update(words=word_strings(built), rounds=mt.rounds)
     else:
         raise InvalidParameterError(f"unknown construct kind {kind!r}")
 
-    if params.get("max_list") is not None and radius is not None:
-        cert = listsize.certify(built, radius, params["max_list"])
-        result["certified"] = cert.decodable
-        result["max_list"] = cert.max_list
+    if max_list is not None and radius is not None:
+        cert = listsize.certify(built, radius, max_list)
+        result.update(certified=cert.decodable, max_list=cert.max_list)
         if not cert.decodable:
             result["witness"] = cert.witness.to_string()
             return result, EXIT_WITNESS, None
@@ -268,172 +243,75 @@ def cmd_construct(params: dict, master_seed, trials):
 
 
 def cmd_rank(params: dict, master_seed, trials):
-    need(params, "action", "m", "n", "radius", "k")
-    action = params["action"]
-    m, n = params["m"], params["n"]
-    radius = params["radius"]
-    rng = Rng(master_seed, 0)
+    action, m, n, radius, k = need(params, "action", "m", "n", "radius", "k")
     rank_params = rankmetric.RankParams(m, n, radius)
-    code = rankmetric.random_linear_rank_code(rank_params, params["k"], rng)
+    code = rankmetric.random_linear_rank_code(rank_params, k, Rng(master_seed, 0))
+    result = {"m": m, "n": n, "k": k}
+    if action == "construct":
+        result.update(generators=generator_strings(code), effective_dim=code.effective_dim)
+        return result, EXIT_OK, None
+    result["r"] = radius
     if action == "profile":
         profile = listsize.list_profile(code, radius)
-        result = {
-            "m": m,
-            "n": n,
-            "r": radius,
-            "k": params["k"],
-            "effective_dim": code.effective_dim,
-            "counts": {str(ell): c for ell, c in profile.counts},
-            "max_ell": profile.max_ell,
-        }
-        if params.get("epsilon") is not None:
-            value, excess = potential_fields(profile, params["epsilon"])
-            result["S"] = value
-            result["T"] = excess
+        result.update(effective_dim=code.effective_dim, **profile_fields(profile, params.get("epsilon")))
         return result, EXIT_OK, None
     if action == "certify":
-        need(params, "max_list")
-        cert = listsize.certify(code, radius, params["max_list"])
-        result = {
-            "m": m,
-            "n": n,
-            "r": radius,
-            "k": params["k"],
-            "max_list_allowed": params["max_list"],
-            "decodable": cert.decodable,
-            "max_list": cert.max_list,
-            "witness": cert.witness.to_string() if cert.witness is not None else None,
-        }
-        return result, EXIT_OK if cert.decodable else EXIT_WITNESS, None
-    if action == "construct":
-        result = {
-            "m": m,
-            "n": n,
-            "k": params["k"],
-            "generators": [g.to_string() for g in code.generators],
-            "effective_dim": code.effective_dim,
-        }
-        return result, EXIT_OK, None
+        (max_list,) = need(params, "max_list")
+        fields, exit_code = certificate_fields(listsize.certify(code, radius, max_list), max_list)
+        return {**result, **fields}, exit_code, None
     raise InvalidParameterError(f"unknown rank action {action!r}")
 
 
 def cmd_lowerbound(params: dict, master_seed, trials):
-    need(params, "action")
-    action = params["action"]
+    (action,) = need(params, "action")
     if action == "ew":
-        need(params, "n", "messages", "max_list", "radius")
         report = secondmoment.expected_cluster_count(
-            params["n"], params["messages"], params["max_list"], params["radius"]
+            *need(params, "n", "messages", "max_list", "radius")
         )
-        try:
-            value_float = float(report.value)
-        except OverflowError:  # E[W] >= 0 past float range, written as Infinity
-            value_float = math.inf
-        result = {
-            "n": report.n,
-            "r": report.radius,
-            "messages": report.num_messages,
-            "L": report.list_size,
-            "value": report.value,
-            "value_float": value_float,
-            "floor": report.floor,
-            "floor_applies": report.floor_applies,
-            "floor_holds": report.floor_holds,
-        }
-        return result, EXIT_OK, None
+        # E[W] >= 0 past float range is written as Infinity.
+        return {**renamed(report), "value_float": counting.float_or_inf(report.value)}, EXIT_OK, None
     if action == "pre":
-        need(params, "n", "radius", "shared", "max_list")
         report = secondmoment.pair_event_probability(
-            params["n"], params["radius"], params["shared"], params["max_list"]
+            *need(params, "n", "radius", "shared", "max_list")
         )
-        result = {
-            "n": report.n,
-            "r": report.radius,
-            "shared": report.shared,
-            "L": report.list_size,
-            "mu": report.mu,
-            "probability": report.probability,
-            "probability_float": float(report.probability),
-            "bound_crude": report.bound_crude,
-            "bound_crude_holds": report.bound_crude_holds,
-            "bound_refined_log2": report.bound_refined_log2,
-            "bound_refined_holds": report.bound_refined_holds,
-        }
+        result = {**renamed(report), "probability_float": float(report.probability)}
         return result, EXIT_OK if report.bound_crude_holds else EXIT_WITNESS, None
     if action == "params":
-        need(params, "p", "epsilon")
-        report = secondmoment.lower_bound_params(params["p"], params["epsilon"])
-        return (
-            {
-                "p": report.p,
-                "epsilon": report.epsilon,
-                "crossover_ell": report.crossover_ell,
-                "margin": report.margin,
-                "list_size": report.list_size,
-            },
-            EXIT_OK,
-            None,
-        )
+        return vars(secondmoment.lower_bound_params(*need(params, "p", "epsilon"))), EXIT_OK, None
     if action == "separate":
-        need(params, "n", "radius", "epsilon")
-        n, radius = params["n"], params["radius"]
-        rng = Rng(master_seed, 0)
-        result = secondmoment.separation_experiment(
-            n, radius, params["epsilon"], trials or 0, rng
-        )
+        n, radius, epsilon = need(params, "n", "radius", "epsilon")
+        result = secondmoment.separation_experiment(n, radius, epsilon, trials or 0, Rng(master_seed, 0))
         columns = ["trial", "family", "seed", "n", "r", "rate", "max_list", "witness"]
-        rows = [
-            {
-                "trial": row.trial,
-                "family": row.family,
-                "seed": row.seed,
-                "n": row.n,
-                "r": row.radius,
-                "rate": row.rate,
-                "max_list": row.max_list,
-                "witness": row.witness,
-            }
-            for row in result.rows
-        ]
-        return result.summary, EXIT_OK, (columns, rows, result.summary)
+        return result.summary, EXIT_OK, (columns, [renamed(row) for row in result.rows])
     raise InvalidParameterError(f"unknown lowerbound action {action!r}")
 
 
 def cmd_potential_trace(params: dict, master_seed, trials):
-    need(params, "n", "k", "radius", "epsilon")
-    n, k, radius, epsilon = params["n"], params["k"], params["radius"], params["epsilon"]
+    n, k, radius, epsilon = need(params, "n", "k", "radius", "epsilon")
     rng = Rng(master_seed, 0)
-    if params.get("guided"):
+    guided = bool(params.get("guided"))
+    if guided:
         code, trace = constructors.potential_guided_code(n, k, radius, epsilon, rng)
-        records = trace.records
-        generators = code.generators
     else:
-        generators = constructors.random_linear_code(n, k, rng).generators
-        records = None
-    profiles = [
-        listsize.list_profile(listsize.LinearCode(n, generators[:i]), radius)
-        for i in range(len(generators) + 1)
-    ]
-    if records is None:
-        records = []
-        for i, profile in enumerate(profiles):
-            value, excess = potential_fields(profile, epsilon)
-            records.append(
-                constructors.StepRecord(step=i, value=value, excess=excess, retries=0)
-            )
+        code = constructors.random_linear_code(n, k, rng)
     envelope = listsize.envelope_trace(n, radius, epsilon, k)
     steps = []
-    for rec in records:
+    for step in range(len(code.generators) + 1):
+        profile = listsize.list_profile(listsize.LinearCode(n, code.generators[:step]), radius)
+        if guided:
+            record = trace.records[step]
+            value, excess, retries = record.value, record.excess, record.retries
+        else:
+            state = listsize.potential(profile, epsilon)
+            value, excess, retries = state.value_float, state.excess_float, 0
         steps.append(
             {
-                "step": rec.step,
-                "S": rec.value,
-                "T": rec.excess,
-                "retries": rec.retries,
-                "delta": envelope.deltas[rec.step],
-                "within_envelope": listsize.excess_within_envelope(
-                    profiles[rec.step], epsilon, rec.step
-                ),
+                "step": step,
+                "S": value,
+                "T": excess,
+                "retries": retries,
+                "delta": envelope.deltas[step],
+                "within_envelope": listsize.excess_within_envelope(profile, epsilon, step),
             }
         )
     result = {
@@ -441,8 +319,8 @@ def cmd_potential_trace(params: dict, master_seed, trials):
         "k": k,
         "r": radius,
         "epsilon": epsilon,
-        "guided": bool(params.get("guided")),
-        "generators": [g.to_string() for g in generators],
+        "guided": guided,
+        "generators": generator_strings(code),
         "steps": steps,
         "envelope_ok": envelope.envelope_ok,
         "envelope_violations": list(envelope.violations),
@@ -481,51 +359,38 @@ def _sweep_cell(experiment: str, cell: dict, master_seed: int, cell_index: int, 
 
 
 def cmd_sweep(params: dict, master_seed, trials):
-    need(params, "experiment")
-    experiment = params["experiment"]
+    (experiment,) = need(params, "experiment")
     base = params.get("base", {})
     grid = params.get("grid", {})
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise InvalidParameterError("sweep grid must be non-empty")
-    keys = list(grid.keys())
-    cells = []
-    for combo in product(*(grid[k] for k in keys)):
-        cell = dict(base)
-        cell.update(dict(zip(keys, combo)))
-        cells.append(cell)
+    # Cells are numbered over the grid keys in sorted order, the order the
+    # echoed config holds them in, so a replay draws the same streams.
+    keys = sorted(grid)
+    cells = [{**base, **dict(zip(keys, combo))} for combo in product(*(grid[k] for k in keys))]
     workers = max(1, int(os.environ.get("LISTDEC_THREADS", "1")))
     cell_trials = trials or params.get("trials", 0) or 0
 
-    def run_cell(args):
-        index, cell = args
+    def run_cell(index):
         try:
-            outcome = _sweep_cell(experiment, cell, master_seed, index, cell_trials)
+            return _sweep_cell(experiment, cells[index], master_seed, index, cell_trials)
         except InvalidParameterError as exc:
-            outcome = {"status": f"invalid: {exc}"}
+            return {"status": f"invalid: {exc}"}
         except ResourceLimitError as exc:
-            outcome = {"status": f"resource-limit: {exc}"}
+            return {"status": f"resource-limit: {exc}"}
         except Exception as exc:  # cells must not kill the sweep
-            outcome = {"status": f"failed: {exc}"}
-        return index, cell, outcome
+            return {"status": f"failed: {exc}"}
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(run_cell, enumerate(cells)))
-    outcomes.sort(key=lambda item: item[0])
-    metric_keys: list[str] = []
-    for _, _, outcome in outcomes:
-        for key in outcome:
-            if key not in metric_keys:
-                metric_keys.append(key)
-    columns = ["cell"] + keys + [k for k in sorted(base) if k not in keys] + metric_keys
-    rows = []
-    for index, cell, outcome in outcomes:
-        row = {"cell": index}
-        row.update({k: cell.get(k) for k in keys})
-        row.update({k: cell.get(k) for k in sorted(base) if k not in keys})
-        row.update(outcome)
-        rows.append(row)
+        outcomes = list(pool.map(run_cell, range(len(cells))))  # in cell order
+    keys += [k for k in sorted(base) if k not in keys]
+    metric_keys = list(dict.fromkeys(key for outcome in outcomes for key in outcome))
+    rows = [
+        {"cell": index, **{k: cell[k] for k in keys}, **outcome}
+        for index, (cell, outcome) in enumerate(zip(cells, outcomes))
+    ]
     summary = {"experiment": experiment, "cells": len(cells)}
-    return summary, EXIT_OK, (columns, rows, summary)
+    return summary, EXIT_OK, (["cell", *keys, *metric_keys], rows)
 
 
 HANDLERS = {
@@ -539,96 +404,72 @@ HANDLERS = {
     "sweep": cmd_sweep,
 }
 
+# Every option once, by its flag; its dest is the flag's name with
+# underscores for dashes.
+OPTIONS = {
+    "--kind": {"choices": ["linear", "uniform", "guided", "lll"]},
+    "--m": {"type": int},
+    "--n": {"type": int},
+    "--k": {"type": int},
+    "--radius": {"type": int},
+    "--epsilon": {"type": float},
+    "--family": {"choices": ["linear", "uniform"], "default": "linear"},
+    "--messages": {"type": int},
+    "--max-list": {"type": int},
+    "--max-retries": {"type": int},
+    "--max-rounds": {"type": int},
+    "--rule": {"choices": ["step", "square"], "default": "step"},
+    "--shared": {"type": int},
+    "--p": {"type": float},
+    "--trials": {"type": int, "default": 0},
+    "--guided": {"action": "store_true"},
+    "--grid": {"help": "grid config JSON file"},
+    "--out": {"help": "output file path"},
+    "--format": {"choices": ["json", "csv"]},
+    "--seed": {"type": int, "default": 0},
+}
+
+# Each subcommand's action choices, then its required and its other option
+# dests, in the order --help lists them.
+SUBCOMMANDS = {
+    "volumes": ((), "n radius", "out format"),
+    "profile": ((), "n radius epsilon", "family k messages out format seed"),
+    "certify": ((), "n radius max_list", "family k messages out format seed"),
+    "construct": (
+        (),
+        "kind n",
+        "k messages radius epsilon max_list max_retries max_rounds rule out format seed",
+    ),
+    "rank": (("profile", "certify", "construct"), "m n radius k", "epsilon max_list out format seed"),
+    "lowerbound": (
+        ("ew", "pre", "params", "separate"),
+        "",
+        "n radius messages max_list shared p epsilon trials out format seed",
+    ),
+    "potential-trace": ((), "n k radius epsilon", "guided out format seed"),
+    "sweep": ((), "grid", "out format"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="listdec", description=__doc__)
     parser.add_argument("--config", help="replay a run from an echoed config JSON file")
     sub = parser.add_subparsers(dest="subcommand")
-
-    def common(p, seed=True):
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("volumes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    common(p, seed=False)
-
-    p = sub.add_parser("profile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--family", choices=["linear", "uniform"], default="linear")
-    p.add_argument("--k", type=int)
-    p.add_argument("--messages", type=int)
-    common(p)
-
-    p = sub.add_parser("certify")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--max-list", dest="max_list", type=int, required=True)
-    p.add_argument("--family", choices=["linear", "uniform"], default="linear")
-    p.add_argument("--k", type=int)
-    p.add_argument("--messages", type=int)
-    common(p)
-
-    p = sub.add_parser("construct")
-    p.add_argument("--kind", choices=["linear", "uniform", "guided", "lll"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--messages", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-list", dest="max_list", type=int)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    p.add_argument("--rule", choices=["step", "square"], default="step")
-    common(p)
-
-    p = sub.add_parser("rank")
-    p.add_argument("action", choices=["profile", "certify", "construct"])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-list", dest="max_list", type=int)
-    common(p)
-
-    p = sub.add_parser("lowerbound")
-    p.add_argument("action", choices=["ew", "pre", "params", "separate"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--messages", type=int)
-    p.add_argument("--max-list", dest="max_list", type=int)
-    p.add_argument("--shared", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--trials", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("potential-trace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--guided", action="store_true")
-    common(p)
-
-    p = sub.add_parser("sweep")
-    p.add_argument("--grid", required=True, help="grid config JSON file")
-    common(p, seed=False)
+    for name, (actions, required, optional) in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        if actions:
+            p.add_argument("action", choices=actions)
+        required = required.split()
+        for dest in required + optional.split():
+            flag = "--" + dest.replace("_", "-")
+            p.add_argument(flag, required=dest in required, **OPTIONS[flag])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> dict:
     sub = args.subcommand
     skip = {"config", "subcommand", "out", "format", "seed", "trials"}
-    params = {
-        k: v for k, v in vars(args).items() if k not in skip and v is not None and v is not False
-    }
+    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     if sub == "sweep":
         with open(args.grid, "r", encoding="utf-8") as handle:
             grid_config = json.load(handle)
@@ -637,20 +478,16 @@ def config_from_args(args: argparse.Namespace) -> dict:
         master_seed = grid_config.get("master_seed", 0)
         trials = grid_config.get("trials", 0)
     else:
-        master_seed = getattr(args, "seed", 0) or 0
+        master_seed = getattr(args, "seed", 0)
         trials = getattr(args, "trials", None)
-    if "guided" in vars(args):
-        params["guided"] = bool(args.guided)
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if (sub == "sweep" or (sub == "lowerbound" and args.action == "separate")) else "json"
+    tabular = sub == "sweep" or getattr(args, "action", None) == "separate"
     return {
         "subcommand": sub,
         "params": params,
         "master_seed": master_seed,
         "trials": trials,
         "output_path": args.out,
-        "output_format": fmt,
+        "output_format": args.format or ("csv" if tabular else "json"),
     }
 
 
@@ -658,21 +495,17 @@ def run_config(config: dict) -> int:
     sub = config.get("subcommand")
     if sub not in HANDLERS:
         raise InvalidParameterError(f"unknown subcommand {sub!r}")
-    handler = HANDLERS[sub]
-    result, exit_code, csv_payload = handler(
+    result, exit_code, table = HANDLERS[sub](
         config.get("params", {}), config.get("master_seed", 0), config.get("trials")
     )
-    fmt = config.get("output_format", "json")
-    if fmt == "csv" and csv_payload is None:
+    csv_form = config.get("output_format", "json") == "csv"
+    if csv_form and table is None:
         raise InvalidParameterError(f"subcommand {sub!r} has no CSV form")
-    if fmt == "csv":
 
-        def write(handle):
-            write_csv(handle, config, *csv_payload)
-
-    else:
-
-        def write(handle):
+    def write(handle):
+        if csv_form:
+            write_csv(handle, config, result, *table)
+        else:
             write_json(handle, config, result)
 
     out = config.get("output_path")

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import limits, precise
-from .counting import hamming_volume, log2_fraction
+from .counting import hamming_volume, log2_value
 from .errors import ConstructionError, InvalidParameterError
 from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
 from .listsize import (
@@ -246,8 +246,7 @@ def lll_condition(n: int, radius: int, num_messages: int, max_list: int) -> LLLR
         lambda ctx: ctx.mpf(1),
     )
     # p_bad >= 2^(-n(L+1)) > 0, but its float underflows to 0 at large L.
-    p_bad_log2 = math.log2(float(p_bad)) if float(p_bad) else log2_fraction(p_bad)
-    product_log2 = math.log2(math.e) + p_bad_log2 + math.log2(degree + 1)
+    product_log2 = math.log2(math.e) + log2_value(p_bad) + math.log2(degree + 1)
     return LLLReport(
         n=n,
         radius=radius,

@@ -83,6 +83,21 @@ def log2_fraction(value: Fraction) -> float:
     return log2_int(value.numerator) - log2_int(value.denominator)
 
 
+def float_or_inf(value) -> float:
+    """float(value) for a nonnegative rational, inf past float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def log2_value(value) -> float:
+    """log2 of a positive rational: of its float where that is positive and
+    finite, else by log2_fraction (a float underflows to 0 or overflows)."""
+    approx = float_or_inf(value)
+    return math.log2(approx) if 0 < approx < math.inf else log2_fraction(value)
+
+
 @dataclass(frozen=True)
 class IntersectionBound:
     d: int
@@ -138,13 +153,18 @@ def check_volume_bounds(n: int, r: int, include_intersection: bool = True) -> Vo
             IntersectionBound(d=d, exact=exact, ratio=float(ratio), bound=bound, holds=holds)
         )
         all_hold = all_hold and holds
+    # Past float range the entropy power is written as inf, and the lower
+    # bound, which can still be finite, is rounded once from the exact quotient.
+    upper = float_or_inf(ep)
+    sqrt_8npq = math.sqrt(float(eight_npq))
+    lower = upper / sqrt_8npq if upper < math.inf else float_or_inf(ep / Fraction(sqrt_8npq))
     return VolumeBoundReport(
         n=n,
         r=r,
         volume=vol,
         binomial=binom,
-        lower_bound=float(ep) / math.sqrt(float(eight_npq)),
-        upper_bound=float(ep),
+        lower_bound=lower,
+        upper_bound=upper,
         sandwich_holds=sandwich,
         intersection=tuple(checks),
         intersection_all_hold=all_hold,

@@ -396,10 +396,10 @@ def potential_float(profile: ListProfile, epsilon: float) -> float:
         return math.inf
 
 
-def potential(profile: ListProfile, epsilon: float, prec: int = POTENTIAL_PREC) -> PotentialState:
+def potential(profile: ListProfile, epsilon: float) -> PotentialState:
     if not epsilon > 0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
-    value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon), prec=prec)
+    value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon), POTENTIAL_PREC)
     return PotentialState(value=value, excess=value - 1)
 
 

@@ -70,13 +70,13 @@ def certified(builder: Callable, start_prec: int = DEFAULT_PREC, max_prec: int =
     raise PrecisionError(f"not resolved at {max_prec} bits of precision")
 
 
-def certified_less(lhs: Callable, rhs: Callable, start_prec: int = DEFAULT_PREC) -> bool:
+def certified_less(lhs: Callable, rhs: Callable) -> bool:
     """Decide lhs < rhs with escalating precision; raises if unresolvable."""
-    return certified(lambda ctx: lhs(ctx) < rhs(ctx), start_prec)
+    return certified(lambda ctx: lhs(ctx) < rhs(ctx))
 
 
-def certified_le(lhs: Callable, rhs: Callable, start_prec: int = DEFAULT_PREC) -> bool:
-    return certified(lambda ctx: lhs(ctx) <= rhs(ctx), start_prec)
+def certified_le(lhs: Callable, rhs: Callable) -> bool:
+    return certified(lambda ctx: lhs(ctx) <= rhs(ctx))
 
 
 def vanishes_at_power_of_two(coeffs: dict[int, int], exponent: Fraction) -> bool:
@@ -108,10 +108,11 @@ def midpoint(value) -> float:
     return float(mpf(value.a) + mpf(value.b)) / 2.0
 
 
-def eval_midpoint(builder: Callable, prec: int = DEFAULT_PREC) -> float:
-    """Float midpoint of an interval expression, for display only."""
+def eval_midpoint(builder: Callable) -> float:
+    """Float midpoint of an interval expression at DEFAULT_PREC, for display
+    only."""
     with _LOCK:
-        iv.prec = prec
+        iv.prec = DEFAULT_PREC
         return midpoint(builder(iv))
 
 

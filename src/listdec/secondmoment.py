@@ -17,6 +17,7 @@ from .counting import (
     hamming_volume,
     intersection_volume,
     log2_fraction,
+    log2_value,
     overlap_decay,
     rank_ball_size,
 )
@@ -132,7 +133,7 @@ def pair_event_probability(n: int, radius: int, shared: int, list_size: int) -> 
         )
         refined_log2 = (
             -n
-            + (2 * list_size - shared) * math.log2(float(mu))
+            + (2 * list_size - shared) * log2_value(mu)
             + (list_size / 2) * math.log2(float(eight_pqn))
             + n * math.log2(1.0 + float(four_pq) ** (shared / 2))
         )

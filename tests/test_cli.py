@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import csv
 import json
 import math
 import os
+import shlex
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,7 +24,9 @@ from listdec import (
     constructors,
     list_profile,
     random_linear_code,
+    rankmetric,
 )
+from listdec import cli
 from listdec.cli import encode, main
 
 
@@ -209,6 +216,31 @@ class TestConstructKinds:
             math.log2(math.e) - 1080 + math.log2((1 << 20) * 54 * 54**53 + 1), rel=1e-12
         )
 
+    def test_lll_out_of_rounds_writes_the_partial_table(self, tmp_path):
+        out = tmp_path / "lll.json"
+        assert run_cli(
+            "construct", "--kind", "lll", "--n", "10", "--radius", "2", "--messages", "40",
+            "--max-list", "2", "--max-rounds", "1", "--seed", "1", "--out", str(out),
+        ) == 1
+        result = json.loads(out.read_text())["result"]
+        assert result["error"] == "no decodable table after 1 rounds"
+        assert len(result["words"]) == 40
+        assert all(len(w) == 10 for w in result["words"])
+        assert result["lll"]["feasible"] is False
+        assert "rounds" not in result and "certified" not in result
+
+    def test_failed_certificate_writes_its_witness(self, tmp_path):
+        out = tmp_path / "lin.json"
+        assert run_cli(
+            "construct", "--kind", "linear", "--n", "10", "--k", "4",
+            "--radius", "2", "--max-list", "1", "--seed", "1", "--out", str(out),
+        ) == 1
+        result = json.loads(out.read_text())["result"]
+        cert = certify(random_linear_code(10, 4, Rng(1, 0)), 2, 1)
+        assert result["certified"] is False
+        assert result["max_list"] == cert.max_list > 1
+        assert result["witness"] == cert.witness.to_string()
+
     def test_guided_failure_exit_one(self):
         code = run_cli(
             "construct", "--kind", "guided", "--n", "8", "--k", "2",
@@ -239,6 +271,24 @@ class TestRankCli:
         ) == 1
 
 
+class TestRankConstruct:
+    def test_generators_of_the_seeded_code(self, tmp_path):
+        out = tmp_path / "rc.json"
+        assert run_cli(
+            "rank", "construct", "--m", "4", "--n", "3", "--radius", "1",
+            "--k", "3", "--seed", "5", "--out", str(out),
+        ) == 0
+        result = json.loads(out.read_text())["result"]
+        code = rankmetric.random_linear_rank_code(rankmetric.RankParams(4, 3, 1), 3, Rng(5, 0))
+        assert result == {
+            "m": 4,
+            "n": 3,
+            "k": 3,
+            "generators": [g.to_string() for g in code.generators],
+            "effective_dim": code.effective_dim,
+        }
+
+
 class TestLowerboundCli:
     def test_ew(self, tmp_path):
         out = tmp_path / "ew.json"
@@ -257,6 +307,33 @@ class TestLowerboundCli:
         ) == 0
         assert "Infinity" in out.read_text()
         assert json.loads(out.read_text())["result"]["value_float"] == math.inf
+
+    def test_pre(self, tmp_path):
+        out = tmp_path / "pre.json"
+        assert run_cli(
+            "lowerbound", "pre", "--n", "10", "--radius", "2", "--shared", "1",
+            "--max-list", "2", "--out", str(out),
+        ) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["mu"] == "7/128"  # Vol(10, 2) / 2^10 = 56/1024
+        assert result["probability_float"] == float(Fraction(result["probability"]))
+        assert result["bound_crude_holds"] is True
+        assert result["bound_refined_holds"] is True
+        assert (result["n"], result["r"], result["shared"], result["L"]) == (10, 2, 1, 2)
+
+    def test_pre_mu_below_float_range(self, tmp_path):
+        # mu = 1101/2^1100 rounds to 0 as a float; the refined bound's log2
+        # is still finite.
+        out = tmp_path / "pre.json"
+        assert run_cli(
+            "lowerbound", "pre", "--n", "1100", "--radius", "1", "--shared", "1",
+            "--max-list", "1", "--out", str(out),
+        ) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["mu"] == f"1101/{1 << 1100}"
+        assert result["probability_float"] == 0.0
+        assert math.isfinite(result["bound_refined_log2"])
+        assert result["bound_refined_log2"] < -2000
 
     def test_params(self, tmp_path):
         out = tmp_path / "p.json"
@@ -383,6 +460,42 @@ class TestSweep:
         grid = {"experiment": "certify", "base": {}, "grid": {}, "master_seed": 1}
         assert run_cli("sweep", "--grid", self.write_grid(tmp_path, grid)) == 2
 
+    def test_grid_keys_numbered_in_sorted_order(self, tmp_path):
+        # The echoed config sorts the grid's keys, so the first run must
+        # number its cells over them in sorted order too, or the replay
+        # would draw other streams.
+        grids = [
+            {"n": [10, 12], "k": [3, 5], "family": ["linear"]},
+            {"family": ["linear"], "k": [3, 5], "n": [10, 12]},
+        ]
+        outputs = []
+        for i, grid in enumerate(grids):
+            config = {
+                "experiment": "certify", "base": {"radius": 1, "max_list": 3},
+                "grid": grid, "master_seed": 4,
+            }
+            path = tmp_path / f"grid{i}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"s{i}.csv"
+            assert run_cli("sweep", "--grid", str(path), "--out", str(out)) == 0
+            first = out.read_bytes()
+            echoed = tmp_path / f"echo{i}.json"
+            echoed.write_text(first.decode().splitlines()[0][len("# config: "):])
+            assert run_cli("--config", str(echoed)) == 0
+            assert out.read_bytes() == first
+            outputs.append(first.decode().splitlines()[1:])
+        assert outputs[0] == outputs[1]
+        rows = list(csv.DictReader(outputs[0][1:]))
+        assert [(r["cell"], r["family"], r["k"], r["n"]) for r in rows] == [
+            ("0", "linear", "3", "10"),
+            ("1", "linear", "3", "12"),
+            ("2", "linear", "5", "10"),
+            ("3", "linear", "5", "12"),
+        ]
+        for row in rows:
+            cert = certify(random_linear_code(int(row["n"]), int(row["k"]), Rng(4, int(row["cell"]))), 1, 3)
+            assert row["max_seen"] == str(cert.max_list)
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         grid = {
             "experiment": "certify",
@@ -418,3 +531,116 @@ def test_encode_takes_only_fractions(value):
     # BitVector, a dataclass or a numpy scalar reaching the encoder is a bug.
     with pytest.raises(TypeError):
         encode(value)
+
+
+# One command per subcommand, action, kind, family and rule, with exits 0
+# and 1, and a two-key sweep grid whose keys are out of sorted order.
+REPLAYED = [
+    "volumes --n 10 --radius 2",
+    "profile --n 10 --radius 1 --epsilon 0.5 --k 3 --seed 7",
+    "profile --family uniform --n 8 --radius 1 --epsilon 0.3 --messages 12 --seed 3",
+    "certify --n 10 --radius 2 --max-list 4 --k 3 --seed 7",
+    "certify --family uniform --n 8 --radius 1 --max-list 2 --messages 12 --seed 1",
+    "construct --kind linear --n 10 --k 4 --radius 2 --max-list 1 --seed 1",
+    "construct --kind uniform --n 8 --messages 10 --seed 2",
+    "construct --kind guided --n 12 --k 3 --radius 1 --epsilon 0.5 --rule square --max-list 3 --seed 3",
+    "construct --kind guided --n 8 --k 2 --radius 8 --epsilon 1.0 --seed 1",
+    "construct --kind lll --n 10 --radius 2 --messages 40 --max-list 2 --max-rounds 1 --seed 1",
+    "construct --kind lll --n 14 --radius 2 --messages 8 --max-list 3 --seed 11",
+    "rank profile --m 4 --n 3 --radius 1 --k 3 --epsilon 0.5 --seed 5",
+    "rank profile --m 4 --n 3 --radius 1 --k 3 --seed 5",
+    "rank certify --m 4 --n 3 --radius 1 --k 4 --max-list 2 --seed 5",
+    "rank construct --m 4 --n 3 --radius 1 --k 3 --seed 5",
+    "lowerbound ew --n 4 --messages 2 --max-list 2 --radius 1",
+    "lowerbound pre --n 10 --radius 2 --shared 1 --max-list 2",
+    "lowerbound params --p 0.25 --epsilon 0.05",
+    "lowerbound separate --n 12 --radius 1 --epsilon 0.3 --trials 3 --seed 11",
+    "potential-trace --n 12 --k 3 --radius 1 --epsilon 0.4 --seed 6",
+    "potential-trace --n 12 --k 3 --radius 1 --epsilon 0.4 --guided --seed 6",
+    "sweep --grid grid.json",
+    "sweep --grid grid.json --format json",
+]
+
+
+@pytest.mark.parametrize("command", REPLAYED)
+def test_replay_from_the_echoed_config(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    grid = {
+        "experiment": "certify", "base": {"family": "linear", "radius": 1, "max_list": 2},
+        "grid": {"n": [10, 12], "k": [3, 5]}, "master_seed": 4,
+    }
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    args = shlex.split(command)
+    tabular = args[0] == "sweep" or "separate" in args
+    out = tmp_path / ("out.csv" if tabular and "json" not in args else "out.json")
+    first_exit = main(args + ["--out", out.name])
+    assert first_exit in (0, 1)
+    first, first_stdout = out.read_bytes(), capsys.readouterr().out
+    text = first.decode()
+    if text.startswith("# config: "):
+        config = text.splitlines()[0][len("# config: "):]
+    else:
+        config = json.dumps(json.loads(text)["config"])
+    (tmp_path / "echo.json").write_text(config)
+    out.unlink()
+    assert main(["--config", "echo.json"]) == first_exit
+    assert out.read_bytes() == first
+    assert capsys.readouterr().out == first_stdout
+
+
+# The options of each subcommand (its argparse dests, the keys an echoed
+# config can hold) and the required ones among them.
+OPTION_DESTS = {
+    "volumes": ({"n", "radius", "out", "format"}, {"n", "radius"}),
+    "profile": (
+        {"n", "radius", "epsilon", "family", "k", "messages", "out", "format", "seed"},
+        {"n", "radius", "epsilon"},
+    ),
+    "certify": (
+        {"n", "radius", "max_list", "family", "k", "messages", "out", "format", "seed"},
+        {"n", "radius", "max_list"},
+    ),
+    "construct": (
+        {"kind", "n", "k", "messages", "radius", "epsilon", "max_list", "max_retries",
+         "max_rounds", "rule", "out", "format", "seed"},
+        {"kind", "n"},
+    ),
+    "rank": (
+        {"action", "m", "n", "radius", "k", "epsilon", "max_list", "out", "format", "seed"},
+        {"action", "m", "n", "radius", "k"},
+    ),
+    "lowerbound": (
+        {"action", "n", "radius", "messages", "max_list", "shared", "p", "epsilon", "trials",
+         "out", "format", "seed"},
+        {"action"},
+    ),
+    "potential-trace": (
+        {"n", "k", "radius", "epsilon", "guided", "out", "format", "seed"},
+        {"n", "k", "radius", "epsilon"},
+    ),
+    "sweep": ({"grid", "out", "format"}, {"grid"}),
+}
+
+
+def test_option_dests_pinned():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for name, sub in subparsers.choices.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        seen[name] = ({a.dest for a in actions}, {a.dest for a in actions if a.required})
+    assert seen == OPTION_DESTS
+
+
+def test_each_flag_declared_once():
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    flags = Counter(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("--")
+        and node.value[2:3].isalpha()
+    )
+    assert flags["--n"] == 1 and flags["--max-list"] == 1 and flags["--config"] == 1
+    assert [flag for flag, count in flags.items() if count > 1] == []

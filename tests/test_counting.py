@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from listdec import (
     overlap_decay,
     rank_ball_size,
 )
+from listdec.counting import float_or_inf, log2_value
 from listdec.gf2 import popcount_array, rank_of_ints
 
 
@@ -192,6 +196,38 @@ class TestVolumeBounds:
             if not c.holds
         ]
         assert exceptions == []
+
+
+class TestPastFloatRange:
+    def test_float_or_inf(self):
+        assert float_or_inf(Fraction(3, 8)) == 0.375
+        assert float_or_inf(Fraction(1, 1 << 1100)) == 0.0
+        assert float_or_inf(1 << 1024) == math.inf
+        assert float_or_inf(Fraction(1 << 1100, 3)) == math.inf
+
+    def test_log2_value_keeps_the_float_path(self):
+        # A subnormal float is positive and finite, so it keeps the float path.
+        for value in (Fraction(3, 8), Fraction(1001, 1 << 40), Fraction(5, 1 << 1070), 1 << 1000):
+            assert log2_value(value) == math.log2(float(value))
+
+    def test_log2_value_outside_float_range(self):
+        assert log2_value(Fraction(3, 1 << 1100)) == pytest.approx(math.log2(3) - 1100, abs=1e-9)
+        assert log2_value(Fraction(1 << 1100, 3)) == pytest.approx(1100 - math.log2(3), abs=1e-9)
+
+    def test_volume_bounds_at_1024(self):
+        # At r = n/2 the entropy power is 2^n; the lower bound 2^n / sqrt(2n)
+        # is 2^1018.5 and stays finite.
+        report = check_volume_bounds(1024, 512, include_intersection=False)
+        assert report.upper_bound == math.inf
+        assert math.log2(report.lower_bound) == pytest.approx(1018.5, abs=1e-12)
+        assert report.sandwich_holds
+
+    @pytest.mark.parametrize("n,r", [(4, 1), (100, 7), (1000, 500), (1023, 511), (2000, 3)])
+    def test_volume_bounds_in_float_range_unchanged(self, n, r):
+        report = check_volume_bounds(n, r, include_intersection=False)
+        ep = entropy_power(n, r)
+        assert report.upper_bound == float(ep)
+        assert report.lower_bound == float(ep) / math.sqrt(float(Fraction(8 * r * (n - r), n)))
 
 
 def brute_rank_count(m: int, n: int, r: int) -> int:

@@ -175,6 +175,18 @@ class TestPairEvent:
         assert report.bound_refined_log2 is not None
         assert report.bound_refined_holds is not None
 
+    def test_refined_log2_with_mu_below_float_range(self):
+        # mu = 1101/2^1100 rounds to 0 as a float; its log2 is still finite.
+        report = pair_event_probability(1100, 1, 1, 1)
+        assert report.bound_crude_holds and report.bound_refined_holds
+        expected = (
+            -1100
+            + (math.log2(1101) - 1100)
+            + 0.5 * math.log2(8 * 1099 / 1100)
+            + 1100 * math.log2(1 + math.sqrt(4 * 1099 / 1100**2))
+        )
+        assert report.bound_refined_log2 == pytest.approx(expected, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             pair_event_probability(6, 1, 0, 2)
