@@ -143,7 +143,7 @@ def build_code(params: dict, rng: Rng):
     if family == "uniform":
         messages, radius = need(params, "messages", "radius")
         # The library's table caps, checked before any word is drawn.
-        listsize.check_scatter_caps(n, messages * counting.hamming_volume(n, radius))
+        listsize.check_uniform_caps(n, messages, radius)
         return constructors.uniform_random_code(n, messages, rng)
     raise InvalidParameterError(f"unknown code family {family!r}")
 
@@ -298,18 +298,13 @@ def cmd_potential_trace(params: dict, master_seed, trials):
     steps = []
     for step in range(len(code.generators) + 1):
         profile = listsize.list_profile(listsize.LinearCode(n, code.generators[:step]), radius)
-        if guided:
-            record = trace.records[step]
-            value, excess, retries = record.value, record.excess, record.retries
-        else:
-            state = listsize.potential(profile, epsilon)
-            value, excess, retries = state.value_float, state.excess_float, 0
+        state = listsize.potential(profile, epsilon)
         steps.append(
             {
                 "step": step,
-                "S": value,
-                "T": excess,
-                "retries": retries,
+                "S": state.value_float,
+                "T": state.excess_float,
+                "retries": trace.records[step].retries if guided else 0,
                 "delta": envelope.deltas[step],
                 "within_envelope": listsize.excess_within_envelope(profile, epsilon, step),
             }

@@ -1,8 +1,9 @@
 """Code generators: random linear, uniform tables, the potential-guided
 incremental builder, and a resampling constructor for the local-lemma regime.
 
-The guided builder scores its candidates here and leaves each accept to
-listsize.accepts, the one decision of the potential's step bound."""
+The guided builder scores its candidates here, one row of coset counts times
+listsize.potential_powers each, and leaves each accept to listsize.accepts,
+the one decision of the potential's step bound."""
 
 from __future__ import annotations
 
@@ -22,14 +23,13 @@ from .listsize import (
     HammingMetric,
     LinearCode,
     accepts,
-    check_scatter_caps,
+    check_uniform_caps,
     coset_counts,
     coset_profile,
     list_profile,
-    one_step_bound_float,
     outer_xor_chunks,
     potential,
-    potential_float,
+    potential_powers,
     scatter_table,
 )
 
@@ -118,6 +118,9 @@ class PotentialTrace:
         return sum(r.retries for r in self.records)
 
 
+# A candidate's float potential is inf or NaN (0 * inf) once a term
+# overflows; accepts decides those sides again, so the warnings are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def potential_guided_code(
     n: int,
     k: int,
@@ -137,10 +140,11 @@ def potential_guided_code(
     Each candidate b is scored by the coset engine on span(C, b): the ball,
     built once, is kept reduced modulo C, and reducing it by b (itself
     reduced modulo C) gives the least coset elements of span(C, b), so a
-    candidate costs O(|B| log |B|) whatever n is.  listsize.accepts decides
-    the accept, in float64 where that settles it; the POTENTIAL_PREC
-    potential that the trace records is computed for accepted candidates
-    only.
+    candidate costs O(|B| log |B|) whatever n is.  Its row of coset counts
+    (a bincount of the multiplicities, the empty cosets in column 0) times
+    the step's potential_powers is its potential in float64, and
+    listsize.accepts decides the accept.  The profile and the precise.MP_PREC
+    potential that the trace records are built for accepted candidates only.
     """
     if not 0 <= k <= n:
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
@@ -160,8 +164,10 @@ def potential_guided_code(
         raise ConstructionError(msg, partial=(LinearCode(n, tuple(gens)), trace))
 
     for step in range(1, k + 1):
-        s, t = state.value_float, state.excess_float
-        threshold = one_step_bound_float(t) if rule == "step" else s * s
+        # The code extended by a candidate b has 2^quotient_bits cosets, and
+        # its list sizes L(x) + L(x + b) are at most twice the largest so far.
+        quotient_bits = n - basis.dim - 1
+        powers = potential_powers(epsilon, n, 2 * profile.max_ell + 1, quotient_bits)
         retries = 0
         draws = 0
         while True:
@@ -178,13 +184,14 @@ def potential_guided_code(
             # new pivot and this is coset_reduce by it.
             cand_reduced = np.minimum(reduced, reduced ^ np.int64(b_reduced))
             _, mult = np.unique(cand_reduced, return_counts=True)
-            cand_profile = coset_profile(mult, basis.dim + 1, n, n, radius)
-            value = potential_float(cand_profile, epsilon)
-            if accepts(profile, cand_profile, value, threshold, epsilon, rule):
+            row = np.bincount(mult)
+            row[0] = (1 << quotient_bits) - len(mult)
+            value = float(row @ powers[: len(row)])
+            if accepts(profile, state, row, basis.dim + 1, value, epsilon, rule):
                 basis.insert(b)
                 gens.append(BitVector(n, b))
                 reduced = cand_reduced
-                profile = cand_profile
+                profile = coset_profile(mult, basis.dim, n, n, radius)
                 state = potential(profile, epsilon)
                 records.append(
                     StepRecord(
@@ -300,7 +307,7 @@ def moser_tardos_construct(
         raise InvalidParameterError(f"max_list must be at least 1, got {max_list}")
     if not 1 <= num_messages <= (1 << n):
         raise InvalidParameterError(f"message count must be in [1, 2^{n}]")
-    check_scatter_caps(n, num_messages * hamming_volume(n, radius))
+    check_uniform_caps(n, num_messages, radius)
     ball = ball_masks(n, radius)
     words = rng.bit_array(n, num_messages)
     table = scatter_table(words, ball, n)

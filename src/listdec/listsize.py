@@ -29,14 +29,16 @@ center not listed has L = 0.  Two engines produce it:
 list_profile, certify and the separation experiment's maximum list read the
 view alone, so they do not know which engine ran.  Histograms, tail
 statistics, potentials and the analytic inequality checks derive from the
-profile.  Decisions on the potential are taken in float64 (potential_float,
-one_step_bound_float) where precise.settled, and taken again otherwise.
-accepts alone decides S_new <= the step bound (or S^2), for the guided
-constructor's candidates and the step check's classes.  Every potential sum
-at 160 bits or in intervals reads its powers 2^(e ell) from potential_power, a
-bounded cache keyed by the mpmath context, its precision, epsilon, the block
-length and ell, so each term is one multiply-add and each value is
-bit-identical to the power evaluated afresh.
+profile.  Every decision on the potential takes one path: a float64 side
+(a row of coset counts times potential_powers, or a float of the
+precise.MP_PREC potential), decided in floats where precise.settled and
+again otherwise.  accepts alone decides S_new <= the step bound (or S^2),
+against step_threshold, for the guided constructor's candidates and the step
+check's classes; precise.less takes the step check's other two decisions.
+Every potential sum at MP_PREC or in intervals reads its powers 2^(e ell)
+from potential_power, a bounded cache keyed by the mpmath context, its
+precision, epsilon, the block length and ell, so each term is one
+multiply-add and each value is bit-identical to the power evaluated afresh.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ from .errors import InvalidParameterError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
 from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
-POTENTIAL_PREC = 160
-# Entries of the potential_power cache: one per (context, precision, epsilon,
-# block length, list size), a few hundred bytes each.
+# Entries of each power cache: potential_power keeps one mpmath power per
+# (context, precision, epsilon, block length, list size), potential_powers one
+# float64 vector per (epsilon, block length, width, quotient bits); a few
+# hundred bytes each at the widths a profile reaches.
 POWER_CACHE_SIZE = 1024
 
 
@@ -174,6 +177,12 @@ def check_scatter_caps(universe_bits: int, increments: int = 0) -> None:
     check_count(increments, SCATTER_MAX, "scatter would need {} increments")
 
 
+def check_uniform_caps(n: int, messages: int, radius: int) -> None:
+    """check_scatter_caps for the table of a uniform code of this many
+    messages, each scattering a radius ball; called before any word is drawn."""
+    check_scatter_caps(n, messages * counting.hamming_volume(n, radius))
+
+
 def scatter_table(words: np.ndarray, ball: np.ndarray, universe_bits: int) -> np.ndarray:
     """Per-center list sizes by scattering each word's ball (cost |C| * Vol)."""
     check_scatter_caps(universe_bits, len(words) * len(ball))
@@ -242,9 +251,9 @@ def coset_profile(
 ) -> ListProfile:
     """The profile of a list_sizes view: each listed size holds on 2^dim
     centers, and every center not listed has L = 0."""
-    hist = np.bincount(sizes)
-    counts = [(0, (1 << universe_bits) - ((len(sizes) - int(hist[0])) << dim))]
-    counts += [(ell, int(c) << dim) for ell, c in enumerate(hist) if ell > 0]
+    hist = np.bincount(sizes).tolist()
+    counts = [(0, (1 << universe_bits) - ((len(sizes) - hist[0]) << dim))]
+    counts += [(ell, c << dim) for ell, c in enumerate(hist) if ell > 0]
     return ListProfile(
         universe_bits=universe_bits,
         block_length=block_length,
@@ -366,63 +375,73 @@ def potential_mean(ctx, profile: ListProfile, epsilon: float):
     return total / (ctx.mpf(2) ** profile.universe_bits)
 
 
-def one_step_bound(ctx, t):
-    """The one-step threshold 1 + 2T + T^1.5 on S after one more generator."""
-    return 1 + 2 * t + t ** ctx.mpf(1.5)
-
-
-def one_step_bound_float(t: float) -> float:
-    """one_step_bound in float64, inf once it overflows (a float product
-    overflows to inf where ** raises)."""
-    return 1 + 2 * t + t * math.sqrt(t)
-
-
-def potential_exponent_float(epsilon: float, block_length: int) -> float:
-    return epsilon * block_length / (1 + epsilon)
-
-
-def potential_float(profile: ListProfile, epsilon: float) -> float:
-    """The potential S of the profile in float64, inf once it overflows.
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def potential_powers(
+    epsilon: float, block_length: int, width: int, quotient_bits: int
+) -> np.ndarray:
+    """The float64 vector 2^(e ell - quotient_bits) for ell < width, e the
+    potential exponent; an entry whose exponent reaches 1024 is inf, and no
+    overflow warning is raised.  A row of coset counts (row[ell] of the
+    2^quotient_bits cosets of a span have L = ell) has potential
+    S = row @ powers[:len(row)]; once a term overflows it is inf, or NaN where
+    a zero count meets an inf power, and precise.settled sends either to an
+    exact decision.  Each vector is computed once per key and kept read-only:
+    every guided build asks for the same few.
 
     With u = 2^-53: e = eps n / (1 + eps) is within 3u relative and e ell
-    within 4u, so at e ell <= 1100 (beyond it every term overflows, since
-    universe_bits <= 62) the exponent e ell - universe_bits is off by at most
-    4u * 1100 + 2^-43 < 6e-13, the power by ln 2 times that relatively, and
-    each product and the fsum add a rounding each: S within 5e-13 relative."""
-    e = potential_exponent_float(epsilon, profile.block_length)
-    try:
-        return math.fsum(c * 2.0 ** (e * ell - profile.universe_bits) for ell, c in profile.counts)
-    except OverflowError:
-        return math.inf
+    within 4u.  A finite term has e ell < 1024 + 62, so its exponent is off by
+    at most 4u * 1100 + 2^-43 < 6e-13, its power by ln 2 times that plus
+    exp2's rounding, and the count's conversion and the product add a rounding
+    each.  The terms are nonnegative, so the dot product adds at most
+    (width - 1) u relative: S within 5e-13 relative for width <= 600."""
+    e = epsilon * block_length / (1 + epsilon)
+    with np.errstate(over="ignore"):
+        powers = np.exp2(e * np.arange(width) - quotient_bits)
+    powers.flags.writeable = False
+    return powers
 
 
 def potential(profile: ListProfile, epsilon: float) -> PotentialState:
     if not epsilon > 0:
         raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
-    value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon), POTENTIAL_PREC)
+    value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon))
     return PotentialState(value=value, excess=value - 1)
 
 
-def accepts(profile, cand_profile, value: float, threshold: float, epsilon: float, rule: str) -> bool:
-    """S(cand_profile) <= the rule's threshold on profile: 1 + 2T + T^1.5 for
-    rule "step", S^2 for "square".  Both profiles cover the same universe.
+def step_threshold(state: PotentialState, rule: str) -> float:
+    """The rule's bound on S after one more generator, in float64 from floats
+    of state's MP_PREC S and T: 1 + 2T + T^1.5 for rule "step", S^2 for
+    "square"; inf once it overflows (a float product overflows to inf where
+    ** raises)."""
+    t = state.excess_float
+    return 1 + 2 * t + t * math.sqrt(t) if rule == "step" else state.value_float * state.value_float
 
-    value and threshold are the two sides in float64; their comparison
-    decides when precise.settled.  Otherwise two equal sides accept, decided
-    exactly, and unequal ones are compared in certified intervals, which
-    terminates because they differ."""
-    # value is within 5e-13 relative of S_new (potential_float, or a row sum
-    # as accurate); threshold, from floats of the 160-bit T and S, within
-    # 1e-15.  So a settled float comparison is the exact one.
+
+def accepts(profile, state, row, dim: int, value: float, epsilon: float, rule: str) -> bool:
+    """Whether S_new <= the rule's bound on profile (step_threshold), S_new
+    the potential of the candidate whose list size is ell on row[ell] cosets
+    of a dim-dimensional span of profile's universe.  state is the potential
+    of profile, and value is S_new in float64, row @ potential_powers.
+
+    The float comparison decides when precise.settled.  Otherwise the
+    candidate's profile is built from the row: two equal sides accept,
+    decided exactly, and unequal ones are compared in certified intervals,
+    which terminates because they differ."""
+    # value is within 5e-13 relative of S_new (potential_powers); the
+    # threshold, from floats of the MP_PREC T and S, within 1e-15.  So a
+    # settled float comparison is the exact one.
+    threshold = step_threshold(state, rule)
     if precise.settled(value, threshold):
         return value <= threshold
+    counts = tuple((ell, int(w) << dim) for ell, w in enumerate(row) if w)
+    cand_profile = ListProfile(profile.universe_bits, profile.block_length, profile.radius, counts)
     e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
     if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
         return True
 
     def bound(ctx):
         t = iv_excess(ctx, profile, epsilon)
-        return one_step_bound(ctx, t) if rule == "step" else (1 + t) ** 2
+        return 1 + 2 * t + t ** ctx.mpf(1.5) if rule == "step" else (1 + t) ** 2
 
     return precise.certified_le(lambda ctx: 1 + iv_excess(ctx, cand_profile, epsilon), bound)
 
@@ -566,29 +585,22 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     rows coset_pair_weights gives exactly; the potential exponent scales with
     the code's block length.
 
-    Each decision (the hypothesis T < 1, each class against the threshold,
-    and P < sqrt(T)) is taken in float64, its sides read from the
-    POTENTIAL_PREC value S, when precise.settled, and again otherwise: a
-    class by accepts, on the profile of the code extended by the class (its
-    row, each count times 2^dim), the others in certified intervals.  When S
-    rounds to 1 at 160 bits, T is below that resolution: the report says
-    degenerate, and the classes and P < sqrt(T) are all decided again."""
+    Each decision reads floats of the precise.MP_PREC value S and of its
+    excess T = S - 1: the hypothesis T < 1 (S < 2) and P < sqrt(T) through
+    precise.less, each class through accepts, its S_new its row times
+    potential_powers.  When S rounds to 1 at MP_PREC, T is below that
+    resolution: the report says degenerate, and the classes and P < sqrt(T)
+    are all decided again."""
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
     quotient_bits = universe_bits - basis.dim
     check_bits(quotient_bits, 1 << PAIR_CHECK_MAX_BITS, "step check needs {} coset classes")
     reps, mult, dim = list_sizes(code, radius)
     profile = coset_profile(mult, dim, universe_bits, block_length, radius)
     state = potential(profile, epsilon)
-    # Every decision reads floats of the POTENTIAL_PREC value S and of its
-    # excess T = S - 1, each within a rounding of the 160-bit value.  T < 1
-    # is S < 2.
-    s, t = state.value_float, state.excess_float
-    if precise.settled(s, 2.0):
-        hypothesis_met = s < 2
-    else:
-        hypothesis_met = precise.certified_less(
-            lambda ctx: iv_excess(ctx, profile, epsilon), lambda ctx: ctx.mpf(1)
-        )
+    t = state.excess_float
+    hypothesis_met = precise.less(
+        state.value_float, 2.0, lambda ctx: iv_excess(ctx, profile, epsilon), lambda ctx: ctx.mpf(1)
+    )
     if not hypothesis_met:
         return StepReport(
             hypothesis_met=False,
@@ -603,18 +615,15 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     table[quotient_index(basis, reps, universe_bits)] = mult
     rows = coset_pair_weights(table)
 
-    # S carries an absolute error near 2^-POTENTIAL_PREC, so sqrt(T) is read
-    # from it only while T keeps at least half of those bits.
-    resolved = t > 2.0 ** -(POTENTIAL_PREC // 2)
-    root = math.sqrt(t)
-    # Each class's row sum, S_new times 2^q, in float64 against the threshold
-    # times 2^q (exact scalings); the classes not settled are decided again
-    # by accepts.
-    threshold, scale = one_step_bound_float(t), 2.0**quotient_bits
-    e_float = potential_exponent_float(epsilon, block_length)
-    sums = rows @ np.exp2(e_float * np.arange(rows.shape[1]))
-    decided = precise.settled(sums, threshold * scale)
-    exceed = decided & (sums > threshold * scale)
+    # Each class's S_new in float64 against the step threshold; the classes
+    # not settled, among them those whose sum overflowed to inf or NaN
+    # (0 * inf), are decided again by accepts.
+    powers = potential_powers(epsilon, block_length, rows.shape[1], quotient_bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = rows @ powers
+    threshold = step_threshold(state, "step")
+    decided = precise.settled(sums, threshold)
+    exceed = decided & (sums > threshold)
     uncertain = np.flatnonzero(~decided)
     if len(uncertain):
         # Classes with equal rows decide alike, so each distinct row is
@@ -623,24 +632,25 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
         distinct, first, inverse = np.unique(
             rows[uncertain], axis=0, return_index=True, return_inverse=True
         )
-        rechecked = []
-        for row, row_sum in zip(distinct, sums[uncertain[first]]):
-            counts = tuple((ell, int(w) << dim) for ell, w in enumerate(row) if w)
-            extended = ListProfile(universe_bits, block_length, radius, counts)
-            rechecked.append(not accepts(profile, extended, row_sum / scale, threshold, epsilon, "step"))
+        rechecked = [
+            not accepts(profile, state, row, dim, value, epsilon, "step")
+            for row, value in zip(distinct, sums[uncertain[first]])
+        ]
         exceed[uncertain] = np.array(rechecked, dtype=bool)[inverse]
     # Candidates in the code (class 0) leave it unchanged, so they never exceed.
     exceed[0] = False
     probability = Fraction(int(exceed.sum()) << dim, 1 << universe_bits)
-    if probability == 0:
-        holds = True
-    elif precise.settled(float(probability), root if resolved else math.nan):
-        holds = probability < root
-    else:
-        holds = precise.certified_less(
-            lambda ctx: precise.iv_fraction(ctx, probability),
-            lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
-        )
+    # S carries an absolute error near 2^-MP_PREC, so sqrt(T) is read from it
+    # only while T keeps at least half of those bits; NaN sends P < sqrt(T)
+    # to the intervals.
+    root = math.sqrt(t)
+    resolved = t > 2.0 ** -(precise.MP_PREC // 2)
+    holds = probability == 0 or precise.less(
+        float(probability),
+        root if resolved else math.nan,
+        lambda ctx: precise.iv_fraction(ctx, probability),
+        lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
+    )
     return StepReport(
         hypothesis_met=True,
         degenerate=state.value == 1,

@@ -5,7 +5,10 @@ loop, certified, escalates the precision until a builder's intervals decide,
 so a True/False answer is never a rounding artifact.  All interval work
 happens here, under one lock, because mpmath contexts hold global precision
 state.  settled(lhs, rhs) says when a float64 comparison stands for the
-exact one; any other is decided again, exactly or through certified.
+exact one; any other is decided again, exactly or through certified.  less
+is that rule for a strict order: the float comparison when settled, the
+certified one otherwise.  Plain mpmath values (with_mp) are taken at one
+precision, MP_PREC.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ _LOCK = threading.RLock()
 
 DEFAULT_PREC = 120
 MAX_PREC = 4096
+# The precision of every plain mpmath evaluation (with_mp).
+MP_PREC = 160
 # Relative distance of two float64 sides below which their comparison is
 # decided again.  A potential's float side is within 5e-13 relative of its
-# exact value (listsize.potential_float), far inside the margin.
+# exact value (listsize.potential_powers), far inside the margin.
 RECHECK_MARGIN = 1e-9
 
 
@@ -79,6 +84,13 @@ def certified_le(lhs: Callable, rhs: Callable) -> bool:
     return certified(lambda ctx: lhs(ctx) <= rhs(ctx))
 
 
+def less(lhs: float, rhs: float, lhs_iv: Callable, rhs_iv: Callable) -> bool:
+    """lhs < rhs, from floats of two exact sides: the float comparison when
+    settled, else certified_less of the interval builders of the same sides.
+    A side that is NaN or inf goes to the intervals."""
+    return lhs < rhs if settled(lhs, rhs) else certified_less(lhs_iv, rhs_iv)
+
+
 def vanishes_at_power_of_two(coeffs: dict[int, int], exponent: Fraction) -> bool:
     """Exactly whether sum_j coeffs[j] * 2^(exponent * j) is 0, for exponent > 0.
 
@@ -116,11 +128,11 @@ def eval_midpoint(builder: Callable) -> float:
         return midpoint(builder(iv))
 
 
-def with_mp(builder: Callable, prec: int = DEFAULT_PREC):
-    """Evaluate a plain mpmath expression at the given precision."""
+def with_mp(builder: Callable):
+    """Evaluate a plain mpmath expression at MP_PREC bits."""
     with _LOCK:
         old = mp.prec
-        mp.prec = prec
+        mp.prec = MP_PREC
         try:
             return builder(mp)
         finally:

@@ -24,7 +24,7 @@ from .counting import (
 from .constructors import random_linear_code, uniform_random_code
 from .errors import InvalidParameterError
 from .gf2 import Rng
-from .listsize import check_scatter_caps, list_sizes
+from .listsize import check_uniform_caps, list_sizes
 
 
 def ball_fraction(n: int, radius: int) -> Fraction:
@@ -261,7 +261,7 @@ def separation_experiment(
         )
     if trials:
         # The uniform table's caps, checked before any code is drawn.
-        check_scatter_caps(n, num_messages * hamming_volume(n, radius))
+        check_uniform_caps(n, num_messages, radius)
     families = (
         ("linear", lambda stream: random_linear_code(n, k, stream)),
         ("uniform", lambda stream: uniform_random_code(n, num_messages, stream)),

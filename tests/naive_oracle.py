@@ -10,12 +10,15 @@
   from a dense per-center table, the twins of listsize.list_profile and
   listsize.certify;
 - rank_table: the rank of every m x n matrix from a row-space automaton, and
-  rank_list_profile_naive, the per-center rank recount it serves.
+  rank_list_profile_naive, the per-center rank recount it serves;
+- intersection_volume_double_sum: the exact double sum of binomials, the
+  twin of counting.intersection_volume.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -148,3 +151,19 @@ def rank_list_profile_naive(code: RankCode, radius: int) -> ListProfile:
     for c in code.codeword_array():
         out += table[centers ^ c] <= radius
     return profile_from_table(out, params.n, radius)
+
+
+def intersection_volume_double_sum(n: int, r: int, d: int) -> int:
+    """|B(0,r) ∩ B(w,r)| for a weight-d center w: the words with i ones inside
+    w's support and j outside, i + j <= r and d - i + j <= r, summed one
+    binomial at a time."""
+    if d == 0:
+        return sum(math.comb(n, i) for i in range(r + 1))
+    total = 0
+    for i in range(d + 1):
+        jmax = min(r - i, r - (d - i), n - d)
+        if jmax < 0:
+            continue
+        inner = sum(math.comb(n - d, j) for j in range(jmax + 1))
+        total += math.comb(d, i) * inner
+    return total

@@ -33,7 +33,7 @@ from listdec import (
 from listdec import LinearCode, PotentialTrace, constructors, limits, listsize, precise
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
-from listdec.listsize import HammingMetric, potential, scatter_table
+from listdec.listsize import HammingMetric, coset_profile, potential, scatter_table
 from naive_oracle import certify_table, profile_from_table
 
 
@@ -238,6 +238,21 @@ class TestGuidedBuilder:
         code, trace = potential_guided_code(12, k, 2, 0.6, Rng(88, 0))
         assert code.effective_dim == k and trace.total_retries > 0
         assert calls == {"potential": k + 1, "with_mp": k + 1}
+
+    def test_profile_only_for_accepted_candidates(self, monkeypatch):
+        # A candidate is scored from its row of coset counts; a profile is
+        # built for the empty code and for each accepted generator only.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return coset_profile(*args)
+
+        monkeypatch.setattr(constructors, "coset_profile", counted)
+        k = 5
+        code, trace = potential_guided_code(12, k, 2, 0.6, Rng(88, 0))
+        assert code.effective_dim == k and trace.total_retries > 0
+        assert len(calls) == k + 1
 
     def test_square_rule_variant(self):
         code, trace = potential_guided_code(12, 3, 1, 0.5, Rng(8, 0), rule="square")

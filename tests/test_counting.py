@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdec import (
     InvalidParameterError,
@@ -23,6 +26,7 @@ from listdec import (
 )
 from listdec.counting import float_or_inf, log2_value
 from listdec.gf2 import popcount_array, rank_of_ints
+from naive_oracle import intersection_volume_double_sum
 
 
 def pascal_row(n: int) -> list[int]:
@@ -127,6 +131,24 @@ class TestIntersectionVolume:
             for d in range(n + 1):
                 w = (1 << d) - 1
                 assert intersection_volume(n, r, d) == brute_intersection(n, r, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 60).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))
+        )
+    )
+    def test_matches_double_sum(self, point):
+        n, r, d = point
+        assert intersection_volume(n, r, d) == intersection_volume_double_sum(n, r, d)
+
+    def test_n_1030_intersection_loop_finishes(self):
+        # The CLI's `volumes --n 1030 --radius 515` takes every d = 1..n.
+        start = time.perf_counter()
+        report = check_volume_bounds(1030, 515)
+        assert len(report.intersection) == 1030
+        assert report.intersection[0].exact == intersection_volume_double_sum(1030, 515, 1)
+        assert time.perf_counter() - start < 30
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_double_counting_identity(self, n):

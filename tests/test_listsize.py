@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -37,6 +38,7 @@ from listdec.counting import binary_entropy
 from listdec.gf2 import BitMatrix, SpanBasis, ball_masks
 from listdec.limits import SCATTER_MAX, WORD_BITS
 from listdec.listsize import (
+    ListProfile,
     StepReport,
     coset_counts,
     coset_pair_weights,
@@ -430,6 +432,51 @@ class TestPotential:
         prof = list_profile(LinearCode(3, ()), 1)
         with pytest.raises(InvalidParameterError):
             potential(prof, 0.0)
+
+
+@st.composite
+def coset_rows(draw):
+    """(row, quotient_bits): row[ell] of the 2^quotient_bits cosets have list
+    size ell, and the last entry is nonzero, as in a profile's histogram."""
+    quotient_bits = draw(st.integers(0, 62))
+    width = draw(st.integers(1, 40))
+    remaining = 1 << quotient_bits
+    top = 1 + draw(st.integers(0, remaining - 1))
+    remaining -= top
+    row = [0] * width
+    row[-1] = top
+    for ell in range(width - 2, 0, -1):
+        row[ell] = draw(st.integers(0, remaining))
+        remaining -= row[ell]
+    row[0] += remaining
+    return np.array(row, dtype=np.int64), quotient_bits
+
+
+class TestPotentialPowers:
+    @settings(max_examples=300, deadline=None)
+    @given(coset_rows(), st.floats(1e-6, 200.0), st.integers(1, 62))
+    def test_row_product_matches_potential(self, drawn, epsilon, block_length):
+        row, quotient_bits = drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            powers = listsize.potential_powers(epsilon, block_length, len(row) + 3, quotient_bits)
+        assert len(powers) == len(row) + 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(row @ powers[: len(row)])
+        counts = tuple((ell, int(c)) for ell, c in enumerate(row) if c)
+        exact = potential(ListProfile(quotient_bits, block_length, 0, counts), epsilon).value
+        if any(c and np.isinf(p) for c, p in zip(row, powers)):
+            assert not np.isfinite(value)
+        if np.isfinite(value):
+            assert abs(value - exact) <= 5e-13 * exact
+        else:
+            assert exact >= mp.mpf(2) ** 1023
+
+    def test_entries_reaching_1024_are_inf(self):
+        # e = 1 at (n, eps) = (2, 1.0): 2^(ell - q) for ell < 1030, q = 5.
+        powers = listsize.potential_powers(1.0, 2, 1031, 5)
+        assert powers[0] == 2.0**-5 and powers[1028] == 2.0**1023
+        assert np.isinf(powers[1029:]).all()
 
 
 def _at_prec(ctx, prec, build):

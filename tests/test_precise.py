@@ -24,6 +24,7 @@ from listdec.precise import (
     certified_le,
     certified_less,
     iv_fraction,
+    less,
     settled,
     vanishes_at_power_of_two,
 )
@@ -106,6 +107,55 @@ class TestSettled:
         assert settled(1.0, 2.0) is False
         assert settled(1.0, 0.0) is False
         assert not settled(np.array([1.0, 1e300]), np.array([2.0, 0.0])).any()
+
+
+def interval_sides(lhs, rhs):
+    """Interval builders of two exact rationals, counting their evaluations."""
+    calls = []
+
+    def side(value):
+        def build(ctx):
+            calls.append(value)
+            return iv_fraction(ctx, value)
+
+        return build
+
+    return side(Fraction(lhs)), side(Fraction(rhs)), calls
+
+
+class TestPreciseLess:
+    def test_settled_pair_decides_in_floats(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a settled pair went to intervals")
+
+        monkeypatch.setattr(precise, "certified_less", unreachable)
+        # The interval sides disagree with the floats, so only floats answer.
+        lhs_iv, rhs_iv, _ = interval_sides(3, 1)
+        assert less(1.0, 2.0, lhs_iv, rhs_iv) is True
+        assert less(2.0, 1.0, rhs_iv, lhs_iv) is False
+
+    INF, NAN = float("inf"), float("nan")
+
+    @pytest.mark.parametrize("lhs,rhs", [(NAN, 2.0), (1.0, NAN), (INF, 2.0), (1.0, INF), (-INF, 2.0)])
+    def test_nan_or_inf_goes_to_intervals(self, lhs, rhs):
+        lhs_iv, rhs_iv, calls = interval_sides(1, 2)
+        assert less(lhs, rhs, lhs_iv, rhs_iv) is True
+        assert calls
+        lhs_iv, rhs_iv, calls = interval_sides(2, 1)
+        assert less(lhs, rhs, lhs_iv, rhs_iv) is False
+        assert calls
+
+    def test_margin_read_at_call_time(self, monkeypatch):
+        # The floats say 2 + 1e-10 is not below 2, the intervals of the
+        # exact sides that it is.
+        lhs_iv, rhs_iv, calls = interval_sides(1, 2)
+        assert less(2.0 + 1e-10, 2.0, lhs_iv, rhs_iv) is True and calls
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", 1e-12)
+        lhs_iv, rhs_iv, calls = interval_sides(1, 2)
+        assert less(2.0 + 1e-10, 2.0, lhs_iv, rhs_iv) is False and not calls
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
+        lhs_iv, rhs_iv, calls = interval_sides(3, 1)
+        assert less(1.0, 2.0, lhs_iv, rhs_iv) is False and calls
 
 
 class TestVanishesAtPowerOfTwo:
