@@ -24,12 +24,11 @@ from .listsize import (
     LinearCode,
     accepts,
     check_uniform_caps,
-    coset_counts,
-    coset_profile,
     list_profile,
     outer_xor_chunks,
     potential,
     potential_powers,
+    row_profile,
     scatter_table,
 )
 
@@ -118,9 +117,6 @@ class PotentialTrace:
         return sum(r.retries for r in self.records)
 
 
-# A candidate's float potential is inf or NaN (0 * inf) once a term
-# overflows; accepts decides those sides again, so the warnings are noise.
-@np.errstate(over="ignore", invalid="ignore")
 def potential_guided_code(
     n: int,
     k: int,
@@ -143,8 +139,9 @@ def potential_guided_code(
     candidate costs O(|B| log |B|) whatever n is.  Its row of coset counts
     (a bincount of the multiplicities, the empty cosets in column 0) times
     the step's potential_powers is its potential in float64, and
-    listsize.accepts decides the accept.  The profile and the precise.MP_PREC
-    potential that the trace records are built for accepted candidates only.
+    listsize.accepts decides the accept.  The profile (row_profile of that
+    row) and the precise.MP_PREC potential that the trace records are built
+    for accepted candidates only.
     """
     if not 0 <= k <= n:
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
@@ -154,8 +151,8 @@ def potential_guided_code(
     basis = SpanBasis()
     gens: list[BitVector] = []
     reduced = ball_masks(n, radius)  # the ball words, reduced modulo the code
-    _, mult = coset_counts(basis, reduced)
-    profile = coset_profile(mult, 0, n, n, radius)
+    # The ball's words are distinct, so the empty code has |B| cosets of L = 1.
+    profile = row_profile([(1 << n) - len(reduced), len(reduced)], 0, n, n, radius)
     state = potential(profile, epsilon)
     records = [StepRecord(step=0, value=state.value_float, excess=state.excess_float, retries=0)]
 
@@ -186,12 +183,15 @@ def potential_guided_code(
             _, mult = np.unique(cand_reduced, return_counts=True)
             row = np.bincount(mult)
             row[0] = (1 << quotient_bits) - len(mult)
-            value = float(row @ powers[: len(row)])
+            # Past float range the product is inf or NaN (0 * inf), which
+            # accepts decides again, so those warnings are noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = float(row @ powers[: len(row)])
             if accepts(profile, state, row, basis.dim + 1, value, epsilon, rule):
                 basis.insert(b)
                 gens.append(BitVector(n, b))
                 reduced = cand_reduced
-                profile = coset_profile(mult, basis.dim, n, n, radius)
+                profile = row_profile(row, basis.dim, n, n, radius)
                 state = potential(profile, epsilon)
                 records.append(
                     StepRecord(

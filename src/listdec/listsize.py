@@ -54,10 +54,8 @@ from .errors import InvalidParameterError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
 from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
-# Entries of each power cache: potential_power keeps one mpmath power per
-# (context, precision, epsilon, block length, list size), potential_powers one
-# float64 vector per (epsilon, block length, width, quotient bits); a few
-# hundred bytes each at the widths a profile reaches.
+# Entries of potential_power's cache: one mpmath power per (context,
+# precision, epsilon, block length, list size), a few hundred bytes each.
 POWER_CACHE_SIZE = 1024
 
 
@@ -246,20 +244,22 @@ def coset_counts(basis: SpanBasis, ball: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.unique(coset_reduce(basis, ball), return_counts=True)
 
 
+def row_profile(row, dim: int, universe_bits: int, block_length: int, radius: int) -> ListProfile:
+    """The profile of a row of coset counts: row[ell] of the
+    2^(universe_bits - dim) cosets of a dim-dimensional span have L = ell,
+    and each coset holds 2^dim centers."""
+    counts = tuple((ell, int(w) << dim) for ell, w in enumerate(row) if w)
+    return ListProfile(universe_bits, block_length, radius, counts)
+
+
 def coset_profile(
     sizes: np.ndarray, dim: int, universe_bits: int, block_length: int, radius: int
 ) -> ListProfile:
     """The profile of a list_sizes view: each listed size holds on 2^dim
     centers, and every center not listed has L = 0."""
-    hist = np.bincount(sizes).tolist()
-    counts = [(0, (1 << universe_bits) - ((len(sizes) - hist[0]) << dim))]
-    counts += [(ell, c << dim) for ell, c in enumerate(hist) if ell > 0]
-    return ListProfile(
-        universe_bits=universe_bits,
-        block_length=block_length,
-        radius=radius,
-        counts=tuple((ell, c) for ell, c in counts if c > 0),
-    )
+    row = np.bincount(sizes).tolist()
+    row[0] = (1 << (universe_bits - dim)) - (len(sizes) - row[0])
+    return row_profile(row, dim, universe_bits, block_length, radius)
 
 
 def list_size_table(code, radius: int) -> np.ndarray:
@@ -375,7 +375,6 @@ def potential_mean(ctx, profile: ListProfile, epsilon: float):
     return total / (ctx.mpf(2) ** profile.universe_bits)
 
 
-@lru_cache(maxsize=POWER_CACHE_SIZE)
 def potential_powers(
     epsilon: float, block_length: int, width: int, quotient_bits: int
 ) -> np.ndarray:
@@ -385,8 +384,7 @@ def potential_powers(
     2^quotient_bits cosets of a span have L = ell) has potential
     S = row @ powers[:len(row)]; once a term overflows it is inf, or NaN where
     a zero count meets an inf power, and precise.settled sends either to an
-    exact decision.  Each vector is computed once per key and kept read-only:
-    every guided build asks for the same few.
+    exact decision.
 
     With u = 2^-53: e = eps n / (1 + eps) is within 3u relative and e ell
     within 4u.  A finite term has e ell < 1024 + 62, so its exponent is off by
@@ -396,9 +394,7 @@ def potential_powers(
     (width - 1) u relative: S within 5e-13 relative for width <= 600."""
     e = epsilon * block_length / (1 + epsilon)
     with np.errstate(over="ignore"):
-        powers = np.exp2(e * np.arange(width) - quotient_bits)
-    powers.flags.writeable = False
-    return powers
+        return np.exp2(e * np.arange(width) - quotient_bits)
 
 
 def potential(profile: ListProfile, epsilon: float) -> PotentialState:
@@ -433,8 +429,7 @@ def accepts(profile, state, row, dim: int, value: float, epsilon: float, rule: s
     threshold = step_threshold(state, rule)
     if precise.settled(value, threshold):
         return value <= threshold
-    counts = tuple((ell, int(w) << dim) for ell, w in enumerate(row) if w)
-    cand_profile = ListProfile(profile.universe_bits, profile.block_length, profile.radius, counts)
+    cand_profile = row_profile(row, dim, profile.universe_bits, profile.block_length, profile.radius)
     e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
     if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
         return True

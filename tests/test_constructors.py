@@ -33,7 +33,7 @@ from listdec import (
 from listdec import LinearCode, PotentialTrace, constructors, limits, listsize, precise
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
-from listdec.listsize import HammingMetric, coset_profile, potential, scatter_table
+from listdec.listsize import HammingMetric, potential, row_profile, scatter_table
 from naive_oracle import certify_table, profile_from_table
 
 
@@ -241,14 +241,19 @@ class TestGuidedBuilder:
 
     def test_profile_only_for_accepted_candidates(self, monkeypatch):
         # A candidate is scored from its row of coset counts; a profile is
-        # built for the empty code and for each accepted generator only.
+        # built, from the same row, for the empty code and for each accepted
+        # generator only, and no candidate's multiplicities are counted twice.
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return coset_profile(*args)
+            return row_profile(*args)
 
-        monkeypatch.setattr(constructors, "coset_profile", counted)
+        def uncounted(*args):
+            raise AssertionError("coset_profile recounts a scored row")
+
+        monkeypatch.setattr(constructors, "row_profile", counted)
+        monkeypatch.setattr(listsize, "coset_profile", uncounted)
         k = 5
         code, trace = potential_guided_code(12, k, 2, 0.6, Rng(88, 0))
         assert code.effective_dim == k and trace.total_retries > 0
