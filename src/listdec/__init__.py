@@ -28,7 +28,6 @@ from .constructors import (
     potential_guided_code,
     random_linear_code,
     uniform_random_code,
-    verify_trace,
 )
 from .errors import (
     ConstructionError,
@@ -36,18 +35,9 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    Rng,
-    enumerate_ball,
-    hamming_distance,
-    random_vector,
-    rank_of_span,
-)
+from .gf2 import BitMatrix, BitVector, Rng
 from .listsize import (
     Certificate,
-    DecodingParams,
     EnvelopeTrace,
     LinearCode,
     ListProfile,
@@ -67,17 +57,14 @@ from .listsize import (
 from .rankmetric import (
     RankCode,
     RankParams,
-    baseline_potential_bound,
     certify_rank,
     check_rank_potential_step,
     enumerate_rank_ball,
     random_linear_rank_code,
-    rank_distance,
 )
 from .secondmoment import (
     ball_fraction,
     check_rank_rate_bound,
-    cluster_variance_bound,
     expected_cluster_count,
     lower_bound_params,
     pair_event_probability,

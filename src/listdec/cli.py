@@ -4,9 +4,10 @@ seeds, JSON/CSV outputs, config echo and atomic writes.
 Every run resolves its arguments into a config dict that is echoed into the
 output header; re-running `listdec --config <echoed>` reproduces the output
 byte for byte.  Exit codes: 0 success or property holds, 1 witness or
-construction failure, 2 invalid parameters (among them a word past 62 bits),
-3 resource limit (a cap of listdec.limits, raised as ResourceLimitError
-before anything is allocated).
+construction failure, 2 invalid parameters (among them a word past 62 bits,
+and an input file or LISTDEC_THREADS value that does not parse), 3 resource
+limit (a cap of listdec.limits, raised as ResourceLimitError before anything
+is allocated).
 """
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ def write_csv(handle, config: dict, summary: dict, columns: list[str], rows: lis
     writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
+
+
+def load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; a file that cannot be read or
+    parsed, or that holds no JSON object, is an invalid parameter."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            loaded = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} {path!r}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise InvalidParameterError(f"{what} {path!r} holds no JSON object")
+    return loaded
 
 
 def need(params: dict, *keys: str) -> tuple:
@@ -357,14 +371,22 @@ def cmd_sweep(params: dict, master_seed, trials):
     (experiment,) = need(params, "experiment")
     base = params.get("base", {})
     grid = params.get("grid", {})
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise InvalidParameterError("sweep grid must be non-empty")
+    if not isinstance(base, dict):
+        raise InvalidParameterError("sweep base must be an object")
+    if not (isinstance(grid, dict) and grid and all(isinstance(v, list) and v for v in grid.values())):
+        raise InvalidParameterError("sweep grid must be a non-empty object of non-empty lists")
     # Cells are numbered over the grid keys in sorted order, the order the
     # echoed config holds them in, so a replay draws the same streams.
     keys = sorted(grid)
     cells = [{**base, **dict(zip(keys, combo))} for combo in product(*(grid[k] for k in keys))]
-    workers = max(1, int(os.environ.get("LISTDEC_THREADS", "1")))
+    threads = os.environ.get("LISTDEC_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise InvalidParameterError(f"LISTDEC_THREADS must be an integer, got {threads!r}") from None
     cell_trials = trials or params.get("trials", 0) or 0
+    if isinstance(cell_trials, int) and cell_trials < 0:
+        raise InvalidParameterError(f"trials must be nonnegative, got {cell_trials}")
 
     def run_cell(index):
         try:
@@ -466,8 +488,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
     skip = {"config", "subcommand", "out", "format", "seed", "trials"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     if sub == "sweep":
-        with open(args.grid, "r", encoding="utf-8") as handle:
-            grid_config = json.load(handle)
+        grid_config = load_json_object(args.grid, "grid file")
         reserved = ("master_seed", "trials", "output_path", "output_format")
         params = {k: v for k, v in grid_config.items() if k not in reserved}
         master_seed = grid_config.get("master_seed", 0)
@@ -519,8 +540,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
+            loaded = load_json_object(args.config, "config file")
             config = loaded["config"] if "config" in loaded else loaded
             if "subcommand" not in config:
                 raise InvalidParameterError("config file lacks a subcommand")

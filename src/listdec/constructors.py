@@ -24,7 +24,6 @@ from .listsize import (
     LinearCode,
     accepts,
     check_uniform_caps,
-    list_profile,
     outer_xor_chunks,
     potential,
     potential_powers,
@@ -147,6 +146,10 @@ def potential_guided_code(
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
     if rule not in ("step", "square"):
         raise InvalidParameterError(f"unknown acceptance rule {rule!r}")
+    if max_retries_per_step < 0:
+        raise InvalidParameterError(
+            f"max_retries_per_step must be nonnegative, got {max_retries_per_step}"
+        )
 
     basis = SpanBasis()
     gens: list[BitVector] = []
@@ -208,20 +211,6 @@ def potential_guided_code(
     code = LinearCode(n, tuple(gens))
     trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
     return code, trace
-
-
-def verify_trace(code: LinearCode, trace: PotentialTrace) -> float:
-    """Recompute every step's potential from scratch; returns the worst
-    relative deviation from the tracked values."""
-    worst = 0.0
-    for i in range(len(code.generators) + 1):
-        prefix = LinearCode(code.n, code.generators[:i])
-        state = potential(list_profile(prefix, trace.radius), trace.epsilon)
-        tracked = trace.records[i].value
-        fresh = state.value_float
-        denom = max(abs(fresh), 1.0)
-        worst = max(worst, abs(fresh - tracked) / denom)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Bit-packed GF(2) vectors, matrices, ball enumeration and seeded randomness.
+"""Bit-packed GF(2) vectors and matrices, span bases, the Hamming ball's
+words and seeded randomness.
 
 Vectors of length n are packed into a single Python int; coordinate 0 is the
 most significant bit, so the serialized bit string reads left to right and
@@ -9,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .counting import hamming_volume
 from .errors import InvalidParameterError
-from .limits import ENUM_MAX_WORDS, MAX_WORDS, WORD_BITS, check_bits, check_count, check_word_bits
+from .limits import MAX_WORDS, WORD_BITS, check_bits, check_count, check_word_bits
 
 
 def popcount_array(values: np.ndarray) -> np.ndarray:
@@ -174,22 +175,6 @@ class SpanBasis:
         return out
 
 
-def hamming_distance(u: BitVector, v: BitVector) -> int:
-    if u.n != v.n:
-        raise InvalidParameterError(f"length mismatch: {u.n} vs {v.n}")
-    return (u ^ v).weight()
-
-
-def rank_of_span(vectors: Sequence[BitVector]) -> int:
-    if not vectors:
-        return 0
-    n = vectors[0].n
-    for v in vectors:
-        if v.n != n:
-            raise InvalidParameterError("vectors in a span must share a length")
-    return rank_of_ints([v.bits for v in vectors])
-
-
 @lru_cache(maxsize=16)
 def ball_masks(n: int, radius: int) -> np.ndarray:
     """Packed words of B(0, radius) in weight-major, numeric-minor order.
@@ -210,12 +195,6 @@ def ball_masks(n: int, radius: int) -> np.ndarray:
     ball = np.concatenate(levels)
     ball.flags.writeable = False
     return ball
-
-
-def enumerate_ball(center: BitVector, radius: int) -> list[BitVector]:
-    check_count(hamming_volume(center.n, radius), ENUM_MAX_WORDS, "enumeration needs {} words")
-    masks = ball_masks(center.n, radius)
-    return [BitVector(center.n, center.bits ^ int(e)) for e in masks]
 
 
 @dataclass
@@ -257,7 +236,3 @@ class Rng:
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""
         return int(self._gen.integers(low, high))
-
-
-def random_vector(n: int, rng: Rng) -> BitVector:
-    return BitVector(n, rng.bits(n))

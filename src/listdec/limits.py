@@ -4,10 +4,13 @@ A word (a vector, or a flattened m x n matrix) is packed into a Python int or
 an int64 array entry, so its length is at most WORD_BITS.  Every other cap
 bounds what an engine allocates, and is checked against the exact size of
 the request before anything of that size is built.  This is the only module
-that raises ResourceLimitError.
+that raises ResourceLimitError.  check_epsilon is the one check of the slack
+epsilon, finite and positive, that every entry point taking it shares.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -30,6 +33,12 @@ def check_word_bits(bits: int, what: str = "vector length") -> None:
     """Raise InvalidParameterError unless 1 <= bits <= WORD_BITS."""
     if not 1 <= bits <= WORD_BITS:
         raise InvalidParameterError(f"{what} must be in [1, {WORD_BITS}], got {bits}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise InvalidParameterError unless 0 < epsilon < inf (NaN fails too)."""
+    if not 0 < epsilon < math.inf:
+        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def check_count(count: int, cap: int, need: str) -> None:

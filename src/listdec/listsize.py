@@ -59,27 +59,6 @@ from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, che
 POWER_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class DecodingParams:
-    """Block length, integer decoding radius and slack parameter."""
-
-    n: int
-    radius: int
-    epsilon: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError(f"block length must be positive, got {self.n}")
-        if not 0 <= self.radius <= self.n:
-            raise InvalidParameterError(f"radius must be in [0, {self.n}], got {self.radius}")
-        if not self.epsilon > 0:
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def p(self) -> float:
-        return self.radius / self.n
-
-
 class HammingMetric:
     """The Hamming metric of a code of length n: its ball, the potential's
     block length n, popcount weights and BitVector witnesses."""
@@ -398,8 +377,7 @@ def potential_powers(
 
 
 def potential(profile: ListProfile, epsilon: float) -> PotentialState:
-    if not epsilon > 0:
-        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
+    limits.check_epsilon(epsilon)
     value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon))
     return PotentialState(value=value, excess=value - 1)
 
@@ -730,8 +708,7 @@ def envelope_trace(n: int, radius: int, epsilon: float, steps: int) -> EnvelopeT
         raise InvalidParameterError(f"steps must be nonnegative, got {steps}")
     if not 0 <= radius <= n:
         raise InvalidParameterError(f"radius must be in [0, {n}], got {radius}")
-    if not epsilon > 0:
-        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
+    limits.check_epsilon(epsilon)
 
     def build(ctx):
         deltas = _iv_envelope(ctx, n, radius, epsilon, steps)

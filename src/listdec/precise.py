@@ -120,14 +120,6 @@ def midpoint(value) -> float:
     return float(mpf(value.a) + mpf(value.b)) / 2.0
 
 
-def eval_midpoint(builder: Callable) -> float:
-    """Float midpoint of an interval expression at DEFAULT_PREC, for display
-    only."""
-    with _LOCK:
-        iv.prec = DEFAULT_PREC
-        return midpoint(builder(iv))
-
-
 def with_mp(builder: Callable):
     """Evaluate a plain mpmath expression at MP_PREC bits."""
     with _LOCK:

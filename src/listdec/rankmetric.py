@@ -1,5 +1,5 @@
-"""Rank-metric analogs over m x n matrices: rank distance, rank balls,
-random linear rank codes and the potential baseline.
+"""Rank-metric analogs over m x n matrices: rank balls and random linear
+rank codes.
 
 Matrices flatten to mn-bit words.  A RankCode supplies its metric to
 listsize's list_profile, certify, check_potential_step and list_size_table:
@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import precise
 from .counting import rank_ball_size
 from .errors import InvalidParameterError
 from .gf2 import BitMatrix, Rng, SpanBasis
 from .limits import ENUM_MAX_WORDS, MAX_WORDS, WORD_BITS, check_count, check_word_bits
-from .listsize import Certificate, StepReport, certify, check_potential_step, potential_exponent
+from .listsize import Certificate, StepReport, certify, check_potential_step
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,6 @@ class RankCode:
 
     def codeword_array(self) -> np.ndarray:
         return self.basis.enumerate()
-
-
-def rank_distance(x: BitMatrix, y: BitMatrix) -> int:
-    """Rank of the entrywise XOR; the integer rank distance."""
-    return (x ^ y).rank()
 
 
 def rank_array(words: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -213,31 +206,3 @@ def certify_rank(code: RankCode, radius: int, max_list: int) -> Certificate:
 
 def check_rank_potential_step(code: RankCode, epsilon: float, radius: int) -> StepReport:
     return check_potential_step(code, epsilon, radius)
-
-
-@dataclass(frozen=True)
-class BaselinePotentialBound:
-    s0: float
-    bound: float
-    holds: bool
-
-
-def baseline_potential_bound(params: RankParams, epsilon: float) -> BaselinePotentialBound:
-    """Check the zero-code potential against 1 + 4 * 2^(r(m+n-r) - mn).
-
-    The exponent mn(1 - p - pb + p^2 b) equals mn - r(m+n-r) exactly.
-    """
-    if not epsilon > 0:
-        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
-    m, n, r = params.m, params.n, params.radius
-    ball = rank_ball_size(2, m, n, r)
-    mn = params.universe_bits
-    bound_tail = Fraction(4 * (1 << (r * (m + n - r))), 1 << mn)
-
-    def lhs(ctx):
-        e = potential_exponent(ctx, epsilon, n)
-        return (ctx.mpf(2) ** e - 1) * ball / ctx.mpf(2) ** mn
-
-    holds = precise.certified_le(lhs, lambda ctx: precise.iv_fraction(ctx, bound_tail))
-    s0_float = 1.0 + precise.eval_midpoint(lhs)
-    return BaselinePotentialBound(s0=s0_float, bound=1.0 + float(bound_tail), holds=holds)

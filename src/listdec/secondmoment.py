@@ -1,7 +1,7 @@
 """Exact and Monte Carlo machinery for the second-moment lower-bound story:
 expected counts of clustered message tuples, the exact pair-event probability
-with its two bounding expressions, the lower-bound parameter triple, and the
-linear-versus-uniform separation experiment."""
+with its two bounding expressions, the lower-bound parameter triple, the
+linear-versus-uniform separation experiment, and the rank-metric rate bound."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .counting import (
     binary_entropy,
     hamming_volume,
     intersection_volume,
-    log2_fraction,
     log2_value,
     overlap_decay,
     rank_ball_size,
@@ -24,6 +23,7 @@ from .counting import (
 from .constructors import random_linear_code, uniform_random_code
 from .errors import InvalidParameterError
 from .gf2 import Rng
+from .limits import check_epsilon
 from .listsize import check_uniform_caps, list_sizes
 
 
@@ -152,45 +152,6 @@ def pair_event_probability(n: int, radius: int, shared: int, list_size: int) -> 
 
 
 @dataclass(frozen=True)
-class VarianceBoundReport:
-    """Numeric (not certified) upper bound on Var W / E[W]^2 via the exact
-    pair-event probabilities; reported for inspection only."""
-
-    n: int
-    radius: int
-    num_messages: int
-    list_size: int
-    variance_bound_log2: float
-    relative_bound_log2: float
-
-
-def cluster_variance_bound(
-    n: int, radius: int, num_messages: int, list_size: int
-) -> VarianceBoundReport:
-    """Var W <= sum over shared counts of (pair count) * 2^(2n) * Pr[pair
-    event], with the pair count bounded by L^(2L) M^(2L - shared).  The
-    per-term probabilities are exact; the sum is evaluated in floats."""
-    expected = expected_cluster_count(n, num_messages, list_size, radius).value
-    if expected == 0:
-        raise InvalidParameterError("expected cluster count is zero at these parameters")
-    total = Fraction(0)
-    for shared in range(1, list_size + 1):
-        pairs = list_size ** (2 * list_size) * num_messages ** (2 * list_size - shared)
-        prob = pair_event_probability(n, radius, shared, list_size).probability
-        total += pairs * (1 << (2 * n)) * prob
-    var_log2 = log2_fraction(total)
-    rel_log2 = log2_fraction(total / (expected * expected))
-    return VarianceBoundReport(
-        n=n,
-        radius=radius,
-        num_messages=num_messages,
-        list_size=list_size,
-        variance_bound_log2=var_log2,
-        relative_bound_log2=rel_log2,
-    )
-
-
-@dataclass(frozen=True)
 class LowerBoundParams:
     """Parameter triple behind the uniform-code list-size lower bound."""
 
@@ -204,8 +165,7 @@ class LowerBoundParams:
 def lower_bound_params(p: float, epsilon: float) -> LowerBoundParams:
     if not 0.0 < p < 0.5:
         raise InvalidParameterError(f"p must be in (0, 1/2), got {p}")
-    if not epsilon > 0:
-        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     crossover = (1.0 - binary_entropy(p)) / (2.0 * epsilon)
     margin = 2.0 ** (-overlap_decay(p) * crossover) / (2.0 * math.log(2.0))
     list_size = math.floor((1.0 - margin) / epsilon)
@@ -252,6 +212,9 @@ def separation_experiment(
     the maximum list size of each."""
     if not 1 <= radius <= n:
         raise InvalidParameterError(f"radius must be in [1, {n}], got {radius}")
+    check_epsilon(epsilon)
+    if trials < 0:
+        raise InvalidParameterError(f"trials must be nonnegative, got {trials}")
     rate = 1.0 - binary_entropy(radius / n) - epsilon
     k = math.floor(rate * n)
     num_messages = math.floor(2.0 ** (rate * n))
@@ -325,10 +288,9 @@ def check_rank_rate_bound(q: int, m: int, n: int, radius: int, epsilon: float) -
 
     Multiplying through by q^(eps m n) reduces it to the exact integer
     inequality ball * q^((n-r)(m-r)) < 4 q^(mn); epsilon only has to be
-    positive for the rate to be meaningful.
+    finite and positive for the rate to be meaningful.
     """
-    if not epsilon > 0:
-        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     if not 0 < n <= m:
         raise InvalidParameterError(f"need 1 <= n <= m, got ({m}, {n})")
     if not 0 <= radius <= n:

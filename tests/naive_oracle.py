@@ -13,20 +13,35 @@
   rank_list_profile_naive, the per-center rank recount it serves;
 - intersection_volume_double_sum: the exact double sum of binomials, the
   twin of counting.intersection_volume.
+
+Two checks of paper claims that no command runs, and a display helper that
+baseline_potential_bound and the dense step check share:
+
+- verify_trace: a guided build's tracked potentials against each prefix's
+  potential recomputed from scratch;
+- baseline_potential_bound: the rank zero code's potential against
+  1 + 4 * 2^(r(m+n-r) - mn);
+- eval_midpoint: the float midpoint of an interval expression.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
+from listdec import precise
+from listdec.constructors import PotentialTrace
+from listdec.counting import rank_ball_size
 from listdec.errors import InvalidParameterError, ResourceLimitError
 from listdec.gf2 import popcount_array
-from listdec.listsize import ListProfile
-from listdec.rankmetric import RankCode
+from listdec.listsize import LinearCode, ListProfile, list_profile, potential, potential_exponent
+from listdec.rankmetric import RankCode, RankParams
 
 NAIVE_MAX_BITS = 16
 # rank_table runs its automaton over every matrix, so at most 2^24 of them.
@@ -167,3 +182,52 @@ def intersection_volume_double_sum(n: int, r: int, d: int) -> int:
         inner = sum(math.comb(n - d, j) for j in range(jmax + 1))
         total += math.comb(d, i) * inner
     return total
+
+
+def eval_midpoint(builder: Callable) -> float:
+    """Float midpoint of an interval expression at precise.DEFAULT_PREC, for
+    display only: the first evaluation of precise.certified, which stops at
+    any result other than None."""
+    return precise.certified(lambda ctx: precise.midpoint(builder(ctx)))
+
+
+def verify_trace(code: LinearCode, trace: PotentialTrace) -> float:
+    """Recompute every step's potential from scratch; returns the worst
+    relative deviation from the tracked values."""
+    worst = 0.0
+    for i in range(len(code.generators) + 1):
+        prefix = LinearCode(code.n, code.generators[:i])
+        state = potential(list_profile(prefix, trace.radius), trace.epsilon)
+        tracked = trace.records[i].value
+        fresh = state.value_float
+        denom = max(abs(fresh), 1.0)
+        worst = max(worst, abs(fresh - tracked) / denom)
+    return worst
+
+
+@dataclass(frozen=True)
+class BaselinePotentialBound:
+    s0: float
+    bound: float
+    holds: bool
+
+
+def baseline_potential_bound(params: RankParams, epsilon: float) -> BaselinePotentialBound:
+    """Check the zero-code potential against 1 + 4 * 2^(r(m+n-r) - mn).
+
+    The exponent mn(1 - p - pb + p^2 b) equals mn - r(m+n-r) exactly.
+    """
+    if not epsilon > 0:
+        raise InvalidParameterError(f"epsilon must be positive, got {epsilon}")
+    m, n, r = params.m, params.n, params.radius
+    ball = rank_ball_size(2, m, n, r)
+    mn = params.universe_bits
+    bound_tail = Fraction(4 * (1 << (r * (m + n - r))), 1 << mn)
+
+    def lhs(ctx):
+        e = potential_exponent(ctx, epsilon, n)
+        return (ctx.mpf(2) ** e - 1) * ball / ctx.mpf(2) ** mn
+
+    holds = precise.certified_le(lhs, lambda ctx: precise.iv_fraction(ctx, bound_tail))
+    s0_float = 1.0 + eval_midpoint(lhs)
+    return BaselinePotentialBound(s0=s0_float, bound=1.0 + float(bound_tail), holds=holds)

@@ -26,7 +26,7 @@ from listdec.listsize import (
     potential,
     potential_exponent,
 )
-from naive_oracle import profile_from_table
+from naive_oracle import eval_midpoint, profile_from_table
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -112,7 +112,7 @@ def step_check_from_table(
     smax = weights.shape[1] - 1
     pows = np.exp2(e_float * np.arange(smax + 1))
     lhs = weights @ pows
-    thr = precise.eval_midpoint(builder_threshold)
+    thr = eval_midpoint(builder_threshold)
     margin = 1e-9 * max(abs(thr), 1.0)
     exceed = lhs > thr + margin
     uncertain = np.abs(lhs - thr) <= margin

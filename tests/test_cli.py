@@ -62,6 +62,25 @@ class TestExitCodes:
     def test_csv_format_rejected_without_csv_form(self):
         assert run_cli("volumes", "--n", "8", "--radius", "2", "--format", "csv") == 2
 
+    # An infinite epsilon once wrote "S": NaN (profile, rank profile) or
+    # crashed (the other three), and the negative counts crashed or failed
+    # the construction; each is an invalid parameter, and nothing is written.
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "profile --n 8 --k 3 --radius 1 --epsilon inf",
+            "rank profile --m 4 --n 3 --radius 1 --k 3 --epsilon inf",
+            "potential-trace --n 8 --k 3 --radius 1 --epsilon inf",
+            "construct --kind guided --n 8 --k 3 --radius 1 --epsilon inf",
+            "lowerbound separate --n 8 --radius 1 --epsilon inf --trials 2",
+            "construct --kind guided --n 8 --k 3 --radius 1 --epsilon 0.5 --max-retries -1",
+            "lowerbound separate --n 12 --radius 1 --epsilon 0.3 --trials -2",
+        ],
+    )
+    def test_infinite_epsilon_or_negative_count_two(self, command, capsys):
+        assert main(shlex.split(command)) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestLibraryCaps:
     """Exit 3 comes from the library's caps alone: whatever they admit runs."""
@@ -458,6 +477,37 @@ class TestSweep:
 
     def test_empty_grid_invalid(self, tmp_path):
         grid = {"experiment": "certify", "base": {}, "grid": {}, "master_seed": 1}
+        assert run_cli("sweep", "--grid", self.write_grid(tmp_path, grid)) == 2
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"grid": {"k": 3}}, {"grid": [3]}, {"grid": {"k": "35"}}, {"base": [1]}, {"trials": -2}],
+        ids=["grid-value-not-list", "grid-not-object", "grid-value-string", "base-not-object",
+             "negative-trials"],
+    )
+    def test_malformed_grid_invalid(self, fields, tmp_path):
+        grid = {
+            "experiment": "qbound",
+            "base": {"n": 12, "k": 3, "radius": 1, "max_list": 2, "gamma": 0.2},
+            "grid": {"k": [3]},
+            "master_seed": 5,
+            **fields,
+        }
+        assert run_cli("sweep", "--grid", self.write_grid(tmp_path, grid)) == 2
+
+    @pytest.mark.parametrize("flag", ["--grid", "--config"])
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "array"])
+    def test_unreadable_json_file_invalid(self, flag, text, tmp_path):
+        path = tmp_path / "in.json"
+        if text is not None:
+            path.write_text(text)
+        args = ["sweep", "--grid", str(path)] if flag == "--grid" else ["--config", str(path)]
+        assert run_cli(*args) == 2
+
+    def test_thread_count_not_an_integer_invalid(self, tmp_path, monkeypatch):
+        grid = {"experiment": "certify", "base": {"n": 8, "radius": 1, "max_list": 2},
+                "grid": {"k": [3]}}
+        monkeypatch.setenv("LISTDEC_THREADS", "abc")
         assert run_cli("sweep", "--grid", self.write_grid(tmp_path, grid)) == 2
 
     def test_grid_keys_numbered_in_sorted_order(self, tmp_path):

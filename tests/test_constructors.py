@@ -28,13 +28,12 @@ from listdec import (
     potential_guided_code,
     random_linear_code,
     uniform_random_code,
-    verify_trace,
 )
 from listdec import LinearCode, PotentialTrace, constructors, limits, listsize, precise
 from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
 from listdec.listsize import HammingMetric, potential, row_profile, scatter_table
-from naive_oracle import certify_table, profile_from_table
+from naive_oracle import certify_table, profile_from_table, verify_trace
 
 
 class TestRandomLinear:
@@ -185,6 +184,14 @@ class TestGuidedBuilder:
         e = eps * n / (1 + eps)
         expected = 1 + (2**e - 1) * hamming_volume(n, r) / 2**n
         assert trace.records[0].value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((8, 2, 1, math.inf), {}), ((8, 2, 1, 0.5), {"max_retries_per_step": -1})],
+    )
+    def test_infinite_epsilon_or_negative_retries_rejected(self, args, kwargs):
+        with pytest.raises(InvalidParameterError):
+            potential_guided_code(*args, Rng(4, 0), **kwargs)
 
     def test_accepts_with_few_retries(self):
         good = 0
@@ -400,6 +407,7 @@ class TestGuidedOracle:
         monkeypatch.setattr(precise, "RECHECK_MARGIN", float("inf"))
         self.sweep_against_oracle()
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_regime_matches_dense_oracle(self):
         # At eps = 100 the square rule passes S > 2^1023 within a few steps;
         # from there both float sides are inf, and each accept is decided by
@@ -413,6 +421,14 @@ class TestGuidedOracle:
                 assert fast == slow, (rule, seed)
                 if rule == "square":
                     assert fast[0] == "ok" and math.isinf(fast[2].records[-1].value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_check_past_float_range(self):
+        # S of a (12, 9) code at r = 6, eps = 100 is past 2^1023: its float
+        # is inf, and T < 1 is decided False in intervals, with no warning.
+        report = listsize.check_potential_step(random_linear_code(12, 9, Rng(31, 0)), 100.0, 6)
+        assert not report.hypothesis_met and not report.holds
+        assert math.isinf(report.excess) and math.isinf(report.markov_bound)
 
     def test_exact_tie_accepts(self):
         # At radius n with |C| = 1, S = 2^e; e = 1 at (n, eps) = (2, 1.0), so

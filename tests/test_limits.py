@@ -1,15 +1,20 @@
 """One owner for every resource cap: listdec.limits holds the cap values and
 is the only module that raises ResourceLimitError, and the chunk size is read
 from it at call time.  Likewise one owner for the float decision margin: only
-listdec.precise names RECHECK_MARGIN."""
+listdec.precise names RECHECK_MARGIN.  Every epsilon is checked by one helper,
+limits.check_epsilon."""
 
 from __future__ import annotations
 
 import ast
+import math
 import re
 from pathlib import Path
 
+import pytest
+
 from listdec import limits
+from listdec.errors import InvalidParameterError
 
 SRC = Path(limits.__file__).resolve().parent
 CAPS = {"WORD_BITS", "MAX_WORDS", "ENUM_MAX_WORDS", "SCATTER_MAX", "PAIR_CHECK_MAX_BITS", "CHUNK_PAIRS"}
@@ -76,3 +81,10 @@ def test_chunk_size_read_only_from_limits_at_call_time():
         or (isinstance(node, ast.arg) and node.arg == "chunk_pairs")
     }
     assert binding == set()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    with pytest.raises(InvalidParameterError):
+        limits.check_epsilon(epsilon)
+    limits.check_epsilon(1e-300)

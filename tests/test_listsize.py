@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -72,22 +73,6 @@ def bv(s: str) -> BitVector:
 def full_space(n: int) -> LinearCode:
     gens = tuple(BitVector(n, 1 << i) for i in range(n))
     return LinearCode(n, gens)
-
-
-class TestDecodingParams:
-    def test_fields_and_ratio(self):
-        from listdec import DecodingParams
-
-        params = DecodingParams(20, 2, 0.2)
-        assert params.p == pytest.approx(0.1)
-
-    def test_validation(self):
-        from listdec import DecodingParams
-
-        with pytest.raises(InvalidParameterError):
-            DecodingParams(10, 11, 0.2)
-        with pytest.raises(InvalidParameterError):
-            DecodingParams(10, 2, 0.0)
 
 
 class TestListProfile:
@@ -430,8 +415,9 @@ class TestPotential:
 
     def test_epsilon_validation(self):
         prof = list_profile(LinearCode(3, ()), 1)
-        with pytest.raises(InvalidParameterError):
-            potential(prof, 0.0)
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                potential(prof, epsilon)
 
 
 @st.composite

@@ -16,7 +16,6 @@ from listdec import (
     RankParams,
     ResourceLimitError,
     Rng,
-    baseline_potential_bound,
     certify,
     certify_rank,
     check_potential_step,
@@ -28,14 +27,19 @@ from listdec import (
     potential,
     random_linear_rank_code,
     rank_ball_size,
-    rank_distance,
     tail_stats,
 )
 from listdec import listsize, precise, rankmetric
 from listdec.cli import main as cli_main
 from listdec.gf2 import rank_of_ints
 from listdec.rankmetric import rank_array, rank_ball_masks
-from naive_oracle import certify_table, profile_from_table, rank_list_profile_naive, rank_table
+from naive_oracle import (
+    baseline_potential_bound,
+    certify_table,
+    profile_from_table,
+    rank_list_profile_naive,
+    rank_table,
+)
 from step_oracle import affordable, dense_potential_step
 
 
@@ -50,23 +54,25 @@ def full_code(m: int, n: int, radius: int) -> RankCode:
 
 
 class TestRankDistance:
+    """The rank distance of x and y is (x ^ y).rank()."""
+
     def test_zero(self):
         x = BitMatrix.from_string("101\n010\n001\n110")
-        assert rank_distance(x, x) == 0
+        assert (x ^ x).rank() == 0
 
     def test_full_rank_identity_block(self):
         m, n = 4, 3
         rows = tuple(1 << (n - 1 - i) if i < n else 0 for i in range(m))
         x = BitMatrix(m, n, rows)
-        assert rank_distance(x, BitMatrix.zero(m, n)) == n
+        assert (x ^ BitMatrix.zero(m, n)).rank() == n
 
     def test_rank_one_difference(self):
         x = BitMatrix.from_string("11\n11")
-        assert rank_distance(x, BitMatrix.zero(2, 2)) == 1
+        assert (x ^ BitMatrix.zero(2, 2)).rank() == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            rank_distance(BitMatrix.zero(2, 2), BitMatrix.zero(3, 2))
+            BitMatrix.zero(2, 2) ^ BitMatrix.zero(3, 2)
 
 
 class TestRankBallEnumeration:
@@ -292,7 +298,7 @@ class TestRankArray:
         code = random_linear_rank_code(RankParams(4, 3, 1), 4, Rng(5, 0))
         cert = certify(code, 1, 2)
         words = [BitMatrix.from_flat(4, 3, int(w)) for w in code.codeword_array()]
-        listed = sum(rank_distance(cert.witness, w) <= 1 for w in words)
+        listed = sum((cert.witness ^ w).rank() <= 1 for w in words)
         assert listed > 2
         assert listsize.recount_center(code, cert.witness.to_flat(), 1) == listed
 

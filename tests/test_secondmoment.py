@@ -14,7 +14,6 @@ from listdec import (
     Rng,
     ball_fraction,
     check_rank_rate_bound,
-    cluster_variance_bound,
     expected_cluster_count,
     hamming_volume,
     log2_fraction,
@@ -199,20 +198,6 @@ class TestVarianceBound:
         value = Fraction(1 << 400, 3)
         assert log2_fraction(value) == pytest.approx(400 - math.log2(3), abs=1e-9)
 
-    def test_relative_bound_shrinks_with_block_length(self):
-        # At a fixed rate point the second-moment ratio should decay in n.
-        reports = []
-        for n in (8, 12, 16):
-            radius = n // 4
-            messages = 1 << max(1, int(n * 0.15))
-            reports.append(cluster_variance_bound(n, radius, messages, 2))
-        rel = [r.relative_bound_log2 for r in reports]
-        assert rel[-1] < rel[0]
-
-    def test_requires_positive_expectation(self):
-        with pytest.raises(InvalidParameterError):
-            cluster_variance_bound(4, 4, 1, 2)
-
 
 class TestLowerBoundParams:
     def test_reference_point(self):
@@ -236,6 +221,8 @@ class TestLowerBoundParams:
             lower_bound_params(0.5, 0.1)
         with pytest.raises(InvalidParameterError):
             lower_bound_params(0.25, 0.0)
+        with pytest.raises(InvalidParameterError):
+            lower_bound_params(0.25, math.inf)
 
 
 class TestSeparationExperiment:
@@ -291,6 +278,11 @@ class TestSeparationExperiment:
         with pytest.raises(InvalidParameterError):
             separation_experiment(8, 3, 0.4, 2, Rng(94, 0))
 
+    @pytest.mark.parametrize("epsilon,trials", [(math.inf, 2), (0.3, -1)])
+    def test_infinite_epsilon_or_negative_trials_rejected(self, epsilon, trials):
+        with pytest.raises(InvalidParameterError):
+            separation_experiment(12, 1, epsilon, trials, Rng(94, 0))
+
     @pytest.mark.parametrize("n,radius,epsilon,trials", [(14, 1, 0.25, 10), (22, 2, 0.18, 3)])
     def test_linear_rows_match_scatter(self, n, radius, epsilon, trials):
         # Linear rows come from the coset engine; the oracle is the least
@@ -316,8 +308,9 @@ class TestRankRateBound:
         assert check_rank_rate_bound(2, 4, 3, 0, 0.2).holds
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            check_rank_rate_bound(2, 4, 3, 1, 0.0)
+        for epsilon in (0.0, math.inf):
+            with pytest.raises(InvalidParameterError):
+                check_rank_rate_bound(2, 4, 3, 1, epsilon)
 
     def test_holds_across_shapes(self):
         for m, n in [(2, 2), (3, 3), (4, 4), (5, 3)]:
