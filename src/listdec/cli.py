@@ -511,9 +511,12 @@ def run_config(config: dict) -> int:
     sub = config.get("subcommand")
     if sub not in HANDLERS:
         raise InvalidParameterError(f"unknown subcommand {sub!r}")
-    result, exit_code, table = HANDLERS[sub](
-        config.get("params", {}), config.get("master_seed", 0), config.get("trials")
-    )
+    master_seed, trials = config.get("master_seed", 0), config.get("trials")
+    # Absent trials (None) is allowed; a bool is an int to Python but not here.
+    for name, value in (("master_seed", master_seed), ("trials", 0 if trials is None else trials)):
+        if type(value) is not int or value < 0:
+            raise InvalidParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+    result, exit_code, table = HANDLERS[sub](config.get("params", {}), master_seed, trials)
     csv_form = config.get("output_format", "json") == "csv"
     if csv_form and table is None:
         raise InvalidParameterError(f"subcommand {sub!r} has no CSV form")

@@ -3,7 +3,9 @@ incremental builder, and a resampling constructor for the local-lemma regime.
 
 The guided builder scores its candidates here, one row of coset counts times
 listsize.potential_powers each, and leaves each accept to listsize.accepts,
-the one decision of the potential's step bound."""
+the one decision of the potential's step bound; listsize.potential gives the
+exact S of each accepted code, whose correctly rounded floats the trace
+records."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .listsize import (
     potential_powers,
     row_profile,
     scatter_table,
+    sorted_runs,
 )
 
 DEFAULT_MAX_RETRIES = 64
@@ -135,12 +139,14 @@ def potential_guided_code(
     Each candidate b is scored by the coset engine on span(C, b): the ball,
     built once, is kept reduced modulo C, and reducing it by b (itself
     reduced modulo C) gives the least coset elements of span(C, b), so a
-    candidate costs O(|B| log |B|) whatever n is.  Its row of coset counts
-    (a bincount of the multiplicities, the empty cosets in column 0) times
-    the step's potential_powers is its potential in float64, and
-    listsize.accepts decides the accept.  The profile (row_profile of that
-    row) and the precise.MP_PREC potential that the trace records are built
-    for accepted candidates only.
+    candidate costs O(|B| log |B|) whatever n is.  Sorted in place, their
+    run lengths (listsize.sorted_runs) are the multiplicities of the cosets;
+    their bincount, with the empty cosets in column 0, is the candidate's
+    row of coset counts (a list), and the row times the step's
+    potential_powers is its potential in float64; listsize.accepts decides
+    the accept.  The
+    profile (row_profile of that row) and the exact potential whose floats
+    the trace records are built for accepted candidates only.
     """
     if not 0 <= k <= n:
         raise InvalidParameterError(f"need 0 <= k <= n, got k = {k}, n = {n}")
@@ -167,7 +173,11 @@ def potential_guided_code(
         # The code extended by a candidate b has 2^quotient_bits cosets, and
         # its list sizes L(x) + L(x + b) are at most twice the largest so far.
         quotient_bits = n - basis.dim - 1
-        powers = potential_powers(epsilon, n, 2 * profile.max_ell + 1, quotient_bits)
+        # A candidate's float64 potential is a plain Python sum of products:
+        # for a row of a few entries it is several times cheaper than a numpy
+        # dot product, and past float range it is inf, or NaN (0 * inf),
+        # without a warning, which accepts decides again.
+        powers = potential_powers(epsilon, n, 2 * profile.max_ell + 1, quotient_bits).tolist()
         retries = 0
         draws = 0
         while True:
@@ -183,13 +193,11 @@ def potential_guided_code(
             # b_reduced is 0 at every pivot of C, so its leading bit is the
             # new pivot and this is coset_reduce by it.
             cand_reduced = np.minimum(reduced, reduced ^ np.int64(b_reduced))
-            _, mult = np.unique(cand_reduced, return_counts=True)
-            row = np.bincount(mult)
+            cand_reduced.sort()
+            _, mult = sorted_runs(cand_reduced)
+            row = np.bincount(mult).tolist()
             row[0] = (1 << quotient_bits) - len(mult)
-            # Past float range the product is inf or NaN (0 * inf), which
-            # accepts decides again, so those warnings are noise.
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = float(row @ powers[: len(row)])
+            value = sum(map(mul, row, powers))
             if accepts(profile, state, row, basis.dim + 1, value, epsilon, rule):
                 basis.insert(b)
                 gens.append(BitVector(n, b))

@@ -29,33 +29,40 @@ center not listed has L = 0.  Two engines produce it:
 list_profile, certify and the separation experiment's maximum list read the
 view alone, so they do not know which engine ran.  Histograms, tail
 statistics, potentials and the analytic inequality checks derive from the
-profile.  Every decision on the potential takes one path: a float64 side
-(a row of coset counts times potential_powers, or a float of the
-precise.MP_PREC potential), decided in floats where precise.settled and
-again otherwise.  accepts alone decides S_new <= the step bound (or S^2),
-against step_threshold, for the guided constructor's candidates and the step
-check's classes; precise.less takes the step check's other two decisions.
-Every potential sum at MP_PREC or in intervals reads its powers 2^(e ell)
-from potential_power, a bounded cache keyed by the mpmath context, its
-precision, epsilon, the block length and ell, so each term is one
-multiply-add and each value is bit-identical to the power evaluated afresh.
+profile.  potential gives a profile's S exactly, as a bracket of two integer
+sums: each power 2^(e ell) is held between the integer floor and ceiling of
+its value at F bits (power_bracket, a bounded cache), and F doubles until
+both ends round to the same float, so S and T = S - 1 reach callers as their
+correctly rounded floats.  Every decision on the potential takes one path: a
+float64 side (a row of coset counts times potential_powers, or the float of
+the exact potential), decided in floats where precise.settled and again
+otherwise.  accepts alone decides S_new <= the step bound (or S^2), against
+step_threshold, for the guided constructor's candidates and the step check's
+classes; precise.less takes the step check's other two decisions.  Every
+potential sum in intervals reads its powers 2^(e ell) from potential_power, a
+bounded cache keyed by the mpmath context, its precision, epsilon, the block
+length and ell, so each term is one multiply-add and each value is
+bit-identical to the power evaluated afresh.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 import numpy as np
 
 from . import counting, limits, precise
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, PrecisionError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
 from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
-# Entries of potential_power's cache: one mpmath power per (context,
-# precision, epsilon, block length, list size), a few hundred bytes each.
+# Entries of each power cache: potential_power holds one mpmath power per
+# (context, precision, epsilon, block length, list size), power_bracket one
+# pair of integer ends per (epsilon, block length, list size, bits), a few
+# hundred bytes each.
 POWER_CACHE_SIZE = 1024
 
 
@@ -220,7 +227,20 @@ def coset_counts(basis: SpanBasis, ball: np.ndarray) -> tuple[np.ndarray, np.nda
     reduced modulo C give every list size: the coset of reps[i] has
     L = mult[i], and every coset missing from reps has L = 0.  Cost
     O(|B| (dim + log |B|)); nothing of size 2^n is built."""
-    return np.unique(coset_reduce(basis, ball), return_counts=True)
+    reduced = np.sort(coset_reduce(basis, ball))
+    starts, mult = sorted_runs(reduced)
+    return reduced[starts], mult
+
+
+def sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the runs of equal entries of a sorted array, in
+    order: words[starts] and lengths are the values and the counts of
+    np.unique, from one comparison of the array with itself shifted by one."""
+    edges = np.empty(len(words) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(words[1:], words[:-1], out=edges[1:-1])
+    (bounds,) = edges.nonzero()
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def row_profile(row, dim: int, universe_bits: int, block_length: int, radius: int) -> ListProfile:
@@ -307,22 +327,26 @@ def tail_stats(profile: ListProfile, ell: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class PotentialState:
-    """Average of 2^(eps * n * L(x) / (1 + eps)) and its excess above 1."""
+    """The potential S, the average of 2^(e L(x)) over the centers, e the
+    potential exponent, as an exact bracket lo 2^shift <= S <= hi 2^shift of
+    integers, with the floats of S and of its excess T = S - 1 above 1: each
+    the correctly rounded float64 of the exact value (inf past float range)."""
 
-    value: object
-    excess: object
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
-
-    @property
-    def excess_float(self) -> float:
-        return float(self.excess)
+    lo: int
+    hi: int
+    shift: int
+    value_float: float
+    excess_float: float
 
 
 def potential_exponent(ctx, epsilon: float, block_length: int):
     eps = ctx.mpf(epsilon)
+    return eps * block_length / (1 + eps)
+
+
+def exact_exponent(epsilon: float, block_length: int) -> Fraction:
+    """The potential exponent e = eps n / (1 + eps) as an exact rational."""
+    eps = Fraction(epsilon)
     return eps * block_length / (1 + eps)
 
 
@@ -336,6 +360,56 @@ def potential_power(ctx, prec: int, epsilon: float, block_length: int, ell: int)
     at another precision, and the value is the same mpf (or interval) that
     the expression gives when evaluated afresh."""
     return ctx.mpf(2) ** (potential_exponent(ctx, epsilon, block_length) * ell)
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def power_bracket(epsilon: float, block_length: int, ell: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo 2^shift <= 2^(e ell) <= hi 2^shift, e the
+    potential exponent: the floor and the ceiling of 2^(e ell - shift), which
+    lies in [2^bits, 2^(bits + 1)).  When e ell is an integer the power is
+    exact and lo = hi; otherwise it is irrational, and its ends come from one
+    interval evaluation at bits + 64 bits."""
+    whole, frac = divmod(exact_exponent(epsilon, block_length) * ell, 1)
+    if not frac:
+        return 1 << bits, 1 << bits, whole - bits
+    lo, top = precise.power_of_two_floors(bits + frac, bits + 64)
+    return lo, top + 1, whole - bits
+
+
+def quotient_float(num: int, den: int) -> float:
+    """num / den correctly rounded to float64 (int true division is), and
+    inf past its range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _potential_at(profile: ListProfile, epsilon: float, bits: int) -> PotentialState | None:
+    """The potential from the power brackets at bits, or None when an end of
+    S or of T rounds to another float than the other end.
+
+    Each power is floored (for lo) or ceiled (for hi) at the scale of the
+    largest, 2^(shift of the largest power), so the integers hold about
+    bits + universe_bits bits whatever e times the largest list size is.
+    S >= 1, so the ends of S below 1 and of T below 0 are clamped there."""
+    n = profile.block_length
+    terms = [(c, *power_bracket(epsilon, n, ell, bits)) for ell, c in profile.counts if c]
+    top = max(shift for _, _, _, shift in terms)
+    lo = sum(c * (p_lo >> (top - shift)) for c, p_lo, _, shift in terms)
+    hi = sum(c * -(-p_hi >> (top - shift)) for c, _, p_hi, shift in terms)
+    shift = top - profile.universe_bits
+    if lo.bit_length() + shift > 1026:
+        # S and T are both at least 2^1025: each float is inf.
+        return PotentialState(lo, hi, shift, math.inf, math.inf)
+    # S lies in [s_lo, s_hi] / one.
+    scale = min(shift, 0)
+    s_lo, s_hi, one = lo << (shift - scale), hi << (shift - scale), 1 << -scale
+    value = quotient_float(max(s_lo, one), one)
+    excess = quotient_float(max(s_lo - one, 0), one)
+    if value != quotient_float(s_hi, one) or excess != quotient_float(s_hi - one, one):
+        return None
+    return PotentialState(lo, hi, shift, value, excess)
 
 
 def potential_sum(ctx, counts, epsilon: float, block_length: int):
@@ -372,21 +446,38 @@ def potential_powers(
     each.  The terms are nonnegative, so the dot product adds at most
     (width - 1) u relative: S within 5e-13 relative for width <= 600."""
     e = epsilon * block_length / (1 + epsilon)
+    exponents = e * np.arange(width) - quotient_bits
+    if e * (width - 1) - quotient_bits < 1023:
+        # Every entry is below 2^1023: nothing overflows.
+        return np.exp2(exponents)
     with np.errstate(over="ignore"):
-        return np.exp2(e * np.arange(width) - quotient_bits)
+        return np.exp2(exponents)
 
 
 def potential(profile: ListProfile, epsilon: float) -> PotentialState:
+    """The potential S of the profile, exactly: the sum of c 2^(e ell) over
+    its counts, bracketed between integer sums of the cached power_bracket
+    ends at F bits.  F starts at precise.DEFAULT_PREC and doubles, up to
+    precise.MAX_PREC, until both ends of S and both ends of T round to the
+    same float.  A power with e ell an integer is exact, so S = 1 has a
+    bracket of width 0, and so does any S whose powers are all exact once F
+    exceeds the spread of their exponents: such an S settles even on a float
+    midpoint."""
     limits.check_epsilon(epsilon)
-    value = precise.with_mp(lambda ctx: potential_mean(ctx, profile, epsilon))
-    return PotentialState(value=value, excess=value - 1)
+    bits = precise.DEFAULT_PREC
+    while bits <= precise.MAX_PREC:
+        state = _potential_at(profile, epsilon, bits)
+        if state is not None:
+            return state
+        bits *= 2
+    raise PrecisionError(f"potential not resolved at {precise.MAX_PREC} bits")
 
 
 def step_threshold(state: PotentialState, rule: str) -> float:
-    """The rule's bound on S after one more generator, in float64 from floats
-    of state's MP_PREC S and T: 1 + 2T + T^1.5 for rule "step", S^2 for
-    "square"; inf once it overflows (a float product overflows to inf where
-    ** raises)."""
+    """The rule's bound on S after one more generator, in float64 from the
+    correctly rounded floats of state's S and T: 1 + 2T + T^1.5 for rule
+    "step", S^2 for "square"; inf once it overflows (a float product
+    overflows to inf where ** raises)."""
     t = state.excess_float
     return 1 + 2 * t + t * math.sqrt(t) if rule == "step" else state.value_float * state.value_float
 
@@ -402,13 +493,13 @@ def accepts(profile, state, row, dim: int, value: float, epsilon: float, rule: s
     decided exactly, and unequal ones are compared in certified intervals,
     which terminates because they differ."""
     # value is within 5e-13 relative of S_new (potential_powers); the
-    # threshold, from floats of the MP_PREC T and S, within 1e-15.  So a
-    # settled float comparison is the exact one.
+    # threshold, from the correctly rounded floats of T and S, within 1e-15.
+    # So a settled float comparison is the exact one.
     threshold = step_threshold(state, rule)
     if precise.settled(value, threshold):
         return value <= threshold
     cand_profile = row_profile(row, dim, profile.universe_bits, profile.block_length, profile.radius)
-    e = Fraction(epsilon) * profile.block_length / (1 + Fraction(epsilon))
+    e = exact_exponent(epsilon, profile.block_length)
     if precise.vanishes_at_power_of_two(_threshold_gap(profile, cand_profile, rule), e):
         return True
 
@@ -558,12 +649,11 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     rows coset_pair_weights gives exactly; the potential exponent scales with
     the code's block length.
 
-    Each decision reads floats of the precise.MP_PREC value S and of its
-    excess T = S - 1: the hypothesis T < 1 (S < 2) and P < sqrt(T) through
-    precise.less, each class through accepts, its S_new its row times
-    potential_powers.  When S rounds to 1 at MP_PREC, T is below that
-    resolution: the report says degenerate, and the classes and P < sqrt(T)
-    are all decided again."""
+    Each decision reads the correctly rounded floats of the exact S and of
+    its excess T = S - 1 (potential): the hypothesis T < 1 (S < 2) and
+    P < sqrt(T) through precise.less, each class through accepts, its S_new
+    its row times potential_powers.  The report says degenerate exactly when
+    S = 1, that is when every list size is 0."""
     basis, universe_bits, block_length = code.basis, code.n, code.block_length
     quotient_bits = universe_bits - basis.dim
     check_bits(quotient_bits, 1 << PAIR_CHECK_MAX_BITS, "step check needs {} coset classes")
@@ -613,20 +703,19 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
     # Candidates in the code (class 0) leave it unchanged, so they never exceed.
     exceed[0] = False
     probability = Fraction(int(exceed.sum()) << dim, 1 << universe_bits)
-    # S carries an absolute error near 2^-MP_PREC, so sqrt(T) is read from it
-    # only while T keeps at least half of those bits; NaN sends P < sqrt(T)
-    # to the intervals.
+    # A normal float t is within 2^-53 relative of T, so sqrt(t) is within
+    # 2^-52 of sqrt(T); a subnormal one may not be, and NaN sends
+    # P < sqrt(T) to the intervals.
     root = math.sqrt(t)
-    resolved = t > 2.0 ** -(precise.MP_PREC // 2)
     holds = probability == 0 or precise.less(
         float(probability),
-        root if resolved else math.nan,
+        root if t >= sys.float_info.min else math.nan,
         lambda ctx: precise.iv_fraction(ctx, probability),
         lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
     )
     return StepReport(
         hypothesis_met=True,
-        degenerate=state.value == 1,
+        degenerate=profile.max_ell == 0,
         excess=t,
         probability=probability,
         markov_bound=root,
@@ -681,6 +770,7 @@ def max_envelope_steps(n: int, radius: int, epsilon: float) -> int:
     when the finite-n condition 2^(K+1) delta_0 <= 1/4 holds; at desk scale
     many (n, radius, epsilon) miss it, and there envelope_trace decides and
     reports the violating steps rather than excluding them."""
+    limits.check_epsilon(epsilon)
     if radius in (0, n) or 2 * radius == n:
         h = Fraction(0) if radius in (0, n) else Fraction(1)
         value = n * (1 - h - Fraction(epsilon))

@@ -7,8 +7,8 @@ happens here, under one lock, because mpmath contexts hold global precision
 state.  settled(lhs, rhs) says when a float64 comparison stands for the
 exact one; any other is decided again, exactly or through certified.  less
 is that rule for a strict order: the float comparison when settled, the
-certified one otherwise.  Plain mpmath values (with_mp) are taken at one
-precision, MP_PREC.
+certified one otherwise.  power_of_two_floors brackets one power of two
+between integers, for listsize's exact potential.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from mpmath import iv, mp, mpf
+from mpmath import iv, mpf
 from mpmath.libmp import to_int
 
 from .errors import PrecisionError
@@ -28,8 +28,6 @@ _LOCK = threading.RLock()
 
 DEFAULT_PREC = 120
 MAX_PREC = 4096
-# The precision of every plain mpmath evaluation (with_mp).
-MP_PREC = 160
 # Relative distance of two float64 sides below which their comparison is
 # decided again.  A potential's float side is within 5e-13 relative of its
 # exact value (listsize.potential_powers), far inside the margin.
@@ -120,12 +118,13 @@ def midpoint(value) -> float:
     return float(mpf(value.a) + mpf(value.b)) / 2.0
 
 
-def with_mp(builder: Callable):
-    """Evaluate a plain mpmath expression at MP_PREC bits."""
+def power_of_two_floors(exponent: Fraction, prec: int) -> tuple[int, int]:
+    """The floors of the ends of an interval holding 2^exponent, evaluated
+    at prec bits; iv's precision is restored after."""
     with _LOCK:
-        old = mp.prec
-        mp.prec = MP_PREC
+        old = iv.prec
+        iv.prec = prec
         try:
-            return builder(mp)
+            return floor_endpoints(iv.mpf(2) ** iv_fraction(iv, exponent))
         finally:
-            mp.prec = old
+            iv.prec = old

@@ -21,7 +21,8 @@ baseline_potential_bound and the dense step check share:
   potential recomputed from scratch;
 - baseline_potential_bound: the rank zero code's potential against
   1 + 4 * 2^(r(m+n-r) - mn);
-- eval_midpoint: the float midpoint of an interval expression.
+- eval_midpoint: the float midpoint of an interval expression;
+- eval_float: the correctly rounded float of an exact real, from intervals.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from listdec.constructors import PotentialTrace
 from listdec.counting import rank_ball_size
 from listdec.errors import InvalidParameterError, ResourceLimitError
 from listdec.gf2 import popcount_array
+from mpmath.libmp import to_float
+
 from listdec.listsize import LinearCode, ListProfile, list_profile, potential, potential_exponent
 from listdec.rankmetric import RankCode, RankParams
 
@@ -189,6 +192,18 @@ def eval_midpoint(builder: Callable) -> float:
     display only: the first evaluation of precise.certified, which stops at
     any result other than None."""
     return precise.certified(lambda ctx: precise.midpoint(builder(ctx)))
+
+
+def eval_float(builder: Callable) -> float:
+    """The correctly rounded float of the real that builder's intervals hold:
+    the precision escalates until both ends round to one float."""
+
+    def build(ctx):
+        lo, hi = builder(ctx)._mpi_
+        end = to_float(lo, rnd="n")
+        return end if end == to_float(hi, rnd="n") else None
+
+    return precise.certified(build)
 
 
 def verify_trace(code: LinearCode, trace: PotentialTrace) -> float:

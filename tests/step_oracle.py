@@ -23,10 +23,9 @@ from listdec.listsize import (
     coset_counts,
     iv_excess,
     list_size_table,
-    potential,
     potential_exponent,
 )
-from naive_oracle import eval_midpoint, profile_from_table
+from naive_oracle import eval_float, eval_midpoint, profile_from_table
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -88,17 +87,19 @@ def step_check_from_table(
     universe_bits = profile.universe_bits
     if universe_bits > PAIR_CHECK_MAX_BITS:
         raise ResourceLimitError(f"step check capped at 2^{PAIR_CHECK_MAX_BITS} candidates")
-    state = potential(profile, epsilon)
-    t_excess = state.excess
-    if not t_excess < 1:
+    # T from its own intervals: its correctly rounded float, T < 1 decided
+    # in intervals, and T = 0 exactly when an interval of T is the point 0.
+    t_excess = eval_float(lambda ctx: iv_excess(ctx, profile, epsilon))
+    if not precise.certified_less(lambda ctx: iv_excess(ctx, profile, epsilon), lambda ctx: ctx.mpf(1)):
         return StepReport(
             hypothesis_met=False,
             degenerate=False,
-            excess=float(t_excess),
+            excess=t_excess,
             probability=Fraction(0),
-            markov_bound=float(t_excess) ** 0.5,
+            markov_bound=t_excess**0.5,
             holds=False,
         )
+    t_zero = precise.certified(lambda ctx: iv_excess(ctx, profile, epsilon)._mpi_ == ctx.mpf(0)._mpi_)
 
     size = len(table)
     weights = pair_sum_weights(table)
@@ -132,7 +133,7 @@ def step_check_from_table(
     exceed[span_words] = False
     count = int(exceed.sum())
     probability = Fraction(count, size)
-    markov = math.sqrt(float(t_excess))
+    markov = math.sqrt(t_excess)
     if probability == 0:
         holds = True
     else:
@@ -140,11 +141,10 @@ def step_check_from_table(
             lambda ctx: precise.iv_fraction(ctx, probability),
             lambda ctx: ctx.sqrt(iv_excess(ctx, profile, epsilon)),
         )
-    # T below the 160-bit resolution is flagged, and decided all the same.
     return StepReport(
         hypothesis_met=True,
-        degenerate=t_excess == 0,
-        excess=float(t_excess),
+        degenerate=t_zero,
+        excess=t_excess,
         probability=probability,
         markov_bound=markov,
         holds=holds,

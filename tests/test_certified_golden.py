@@ -1,11 +1,13 @@
 """Golden outputs of the certified layer: envelope traces, step counts,
-potentials at full precision, step reports, certificates and guided codes.
+potentials, step reports, certificates and guided codes.
 
 Each group is a list of lines whose sha256 was recorded before the
 escalation loops and the potential's formulas were folded into one place
-each, so any change in a decision, in the precision a trace stops at (its
-printed midpoints), or in a single bit of a 160-bit potential shows here.
-Potentials are written as the exact (mantissa, exponent) pair of the mpf.
+each, so any change in a decision, or in the precision a trace stops at (its
+printed midpoints), shows here.  Potentials are written as the pair
+(value_float, excess_float), the floats every decision and trace reads; that
+digest was recorded while S was still a 160-bit mpmath value, before it
+became an exact bracket, so any change in a single bit of either float shows.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ def potential_lines():
     lines = []
     for code, radius, eps in linear_cases():
         state = potential(list_profile(code, radius), eps)
-        lines.append(repr((state.value.man_exp, state.excess.man_exp)))
+        lines.append(repr((state.value_float, state.excess_float)))
     for i in range(12):
         params = RankParams(4, 3 + i % 2, 1)
         code = random_linear_rank_code(params, 1 + i % 5, Rng(4343, i))
         state = potential(list_profile(code, 1), EPSILONS[i % len(EPSILONS)])
-        lines.append(repr((state.value.man_exp, state.excess.man_exp)))
+        lines.append(repr((state.value_float, state.excess_float)))
     return lines
 
 
@@ -117,7 +119,7 @@ GOLDEN = {
     ),
     "potential": (
         potential_lines,
-        "7d0b202f28bbd04caaf471b968b3b1b38b96b5c891f73dc179035aa62ff16000",
+        "407f099a8e284e675fb9bd69cb94fbb0717a5cfb921454ff64db4cfea58c92f1",
     ),
     "step": (
         step_lines,

@@ -481,9 +481,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"grid": {"k": 3}}, {"grid": [3]}, {"grid": {"k": "35"}}, {"base": [1]}, {"trials": -2}],
+        [{"grid": {"k": 3}}, {"grid": [3]}, {"grid": {"k": "35"}}, {"base": [1]}, {"trials": -2},
+         {"trials": 2.5}, {"trials": True}, {"master_seed": "7"}, {"master_seed": -1}],
         ids=["grid-value-not-list", "grid-not-object", "grid-value-string", "base-not-object",
-             "negative-trials"],
+             "negative-trials", "fractional-trials", "bool-trials", "string-seed", "negative-seed"],
     )
     def test_malformed_grid_invalid(self, fields, tmp_path):
         grid = {
@@ -503,6 +504,17 @@ class TestSweep:
             path.write_text(text)
         args = ["sweep", "--grid", str(path)] if flag == "--grid" else ["--config", str(path)]
         assert run_cli(*args) == 2
+
+    @pytest.mark.parametrize("seed", ["7", 7.0, True, -1, None])
+    def test_config_seed_not_a_nonnegative_integer_invalid(self, seed, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "subcommand": "certify",
+            "params": {"family": "linear", "n": 8, "k": 3, "radius": 1, "max_list": 3},
+            "master_seed": seed,
+        }))
+        assert run_cli("--config", str(path)) == 2
+        assert capsys.readouterr().out == ""
 
     def test_thread_count_not_an_integer_invalid(self, tmp_path, monkeypatch):
         grid = {"experiment": "certify", "base": {"n": 8, "radius": 1, "max_list": 2},

@@ -34,6 +34,7 @@ from listdec.constructors import DEFAULT_MAX_RETRIES, ResampleEvent, StepRecord
 from listdec.gf2 import SpanBasis, ball_masks, popcount_array
 from listdec.listsize import HammingMetric, potential, row_profile, scatter_table
 from naive_oracle import certify_table, profile_from_table, verify_trace
+from step_oracle import dense_potential_step
 
 
 class TestRandomLinear:
@@ -227,10 +228,10 @@ class TestGuidedBuilder:
         assert second[1] == first[1]
 
     def test_potential_only_for_accepted_candidates(self, monkeypatch):
-        # Candidates are decided in float64: the 160-bit potential runs for
+        # Candidates are decided in float64: the exact potential runs for
         # the empty code and for each accepted generator, rejected candidates
-        # get none, and no step builds a 160-bit threshold.
-        calls = {"potential": 0, "with_mp": 0}
+        # get none, and no step evaluates another one for its threshold.
+        calls = {"potential": 0, "listsize.potential": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -240,11 +241,11 @@ class TestGuidedBuilder:
             return wrapper
 
         monkeypatch.setattr(constructors, "potential", counted("potential", potential))
-        monkeypatch.setattr(precise, "with_mp", counted("with_mp", precise.with_mp))
+        monkeypatch.setattr(listsize, "potential", counted("listsize.potential", potential))
         k = 5
         code, trace = potential_guided_code(12, k, 2, 0.6, Rng(88, 0))
         assert code.effective_dim == k and trace.total_retries > 0
-        assert calls == {"potential": k + 1, "with_mp": k + 1}
+        assert calls == {"potential": k + 1, "listsize.potential": 0}
 
     def test_profile_only_for_accepted_candidates(self, monkeypatch):
         # A candidate is scored from its row of coset counts; a profile is
@@ -429,6 +430,30 @@ class TestGuidedOracle:
         report = listsize.check_potential_step(random_linear_code(12, 9, Rng(31, 0)), 100.0, 6)
         assert not report.hypothesis_met and not report.holds
         assert math.isinf(report.excess) and math.isinf(report.markov_bound)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("top", [1022.9, 1023.1, 1024.5, 1025.9, 1026.1, 1027.5])
+    def test_overflow_guard_boundary_matches_dense_oracle(self, top):
+        # At radius n every list size is |C|, so the square rule accepts each
+        # candidate by an exact tie.  Step 7 has width 2^7 + 1 and 2^3
+        # cosets: its e (width - 1) = 128 e lands just below 1023 (1022.9),
+        # just above it (1023.1) and past float range (1024.5), and
+        # e (width - 1) - 3, the exponent of its largest power, where
+        # potential_powers guards against overflow, does the same at
+        # 1025.9, 1026.1 and 1027.5.  No warning is raised, and the build
+        # and the step checks of its prefixes at dimensions 6 and 7 (S near
+        # 2^1023 at 7) agree with the dense oracles.
+        e = top / 128
+        epsilon = e / (10 - e)
+        args = (10, 8, 10, epsilon)
+        kwargs = {"max_retries_per_step": 0, "rule": "square"}
+        fast = guided_outcome(potential_guided_code, *args, Rng(5, 0), **kwargs)
+        slow = guided_outcome(dense_guided_code, *args, Rng(5, 0), **kwargs)
+        assert fast == slow and fast[0] == "ok"
+        for dim in (6, 7):
+            prefix = LinearCode(10, fast[1].generators[:dim])
+            report = listsize.check_potential_step(prefix, epsilon, 10)
+            assert report == dense_potential_step(prefix, epsilon, 10)
 
     def test_exact_tie_accepts(self):
         # At radius n with |C| = 1, S = 2^e; e = 1 at (n, eps) = (2, 1.0), so

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import to_float, to_rational
 
 from listdec import (
     BitVector,
@@ -166,6 +168,23 @@ def linear_codes(draw, max_n: int):
 
 
 class TestCosetEngine:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3) | st.integers(0, (1 << 62) - 1), min_size=1, max_size=300)
+    )
+    @example([5])
+    @example([9] * 40)
+    def test_run_lengths_match_unique(self, words):
+        # The runs of the sorted words against np.unique: the values and the
+        # counts of coset_counts, and the bincount of the counts, the guided
+        # builder's row.
+        array = np.sort(np.array(words, dtype=np.int64))
+        starts, lengths = listsize.sorted_runs(array)
+        values, counts = np.unique(array, return_counts=True)
+        assert np.array_equal(array[starts], values)
+        assert np.array_equal(lengths, counts)
+        assert np.array_equal(np.bincount(lengths), np.bincount(counts))
+
     @settings(max_examples=150, deadline=None)
     @given(linear_codes(16), st.data())
     def test_matches_naive_oracle(self, code, data):
@@ -392,9 +411,54 @@ class TestPotential:
         assert state.excess_float == pytest.approx(0.9375, abs=1e-12)
 
     def test_empty_code_is_one(self):
+        # S = 1 exactly: the bracket is the single point 1.
         state = potential(list_profile(CodeTable(5, ()), 2), 0.7)
         assert state.value_float == 1.0
         assert state.excess_float == 0.0
+        assert state.lo == state.hi == 1 << -state.shift
+
+    def test_exact_dyadic_on_a_float_midpoint(self):
+        # e = 1 at (n, eps) = (2, 1.0), so both powers are exact and the
+        # bracket has width 0: S = 1 + 2^-53, the midpoint between 1 and the
+        # next float, rounds to even, and T = 2^-53 exactly.
+        state = potential(ListProfile(53, 2, 1, ((0, 2**53 - 1), (1, 1))), 1.0)
+        assert state.lo == state.hi
+        assert state.value_float == 1.0
+        assert state.excess_float == 2**-53
+
+    def test_large_exponent_stays_small(self):
+        # e ell = 31 * 2^26: the powers are aligned to the largest, so no
+        # integer of about 2e9 bits is built, and both floats are inf.
+        state = potential(ListProfile(1, 62, 1, ((0, 1), (2**26, 1))), 1.0)
+        assert state.value_float == state.excess_float == math.inf
+        assert state.hi.bit_length() < 1000
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 1 << 40)), min_size=1, max_size=6),
+        st.integers(0, 20),
+        st.floats(1e-6, 60.0) | st.sampled_from([0.5, 1.0, 3.0]),
+        st.integers(1, 62),
+    )
+    def test_bracket_holds_the_600_bit_value(self, terms, extra_bits, epsilon, block_length):
+        # The exact bracket and the 600-bit interval of S overlap, as both
+        # hold S (neither need contain the other: an exact power makes the
+        # bracket tighter than 600 bits at large S), and its floats are the
+        # floats of that interval (both ends round alike).
+        counts = dict(terms)
+        mass = sum(counts.values())
+        universe_bits = mass.bit_length() + extra_bits
+        counts[0] = counts.get(0, 0) + (1 << universe_bits) - mass
+        profile = ListProfile(universe_bits, block_length, 0, tuple(sorted(counts.items())))
+        state = potential(profile, epsilon)
+        s_iv = _at_prec(iv, 600, lambda: listsize.potential_mean(iv, profile, epsilon))
+        t_iv = _at_prec(iv, 600, lambda: s_iv - 1)
+        s_lo, s_hi = (_exact(end) for end in s_iv._mpi_)
+        scale = Fraction(2) ** state.shift
+        assert state.lo * scale <= s_hi and s_lo <= state.hi * scale
+        for value, interval in ((state.value_float, s_iv), (state.excess_float, t_iv)):
+            lo, hi = interval._mpi_
+            assert value == to_float(lo, rnd="n") == to_float(hi, rnd="n")
 
     def test_monotone_in_epsilon(self):
         prof = list_profile(random_linear_code(10, 4, Rng(27, 0)), 2)
@@ -450,7 +514,8 @@ class TestPotentialPowers:
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(row @ powers[: len(row)])
         counts = tuple((ell, int(c)) for ell, c in enumerate(row) if c)
-        exact = potential(ListProfile(quotient_bits, block_length, 0, counts), epsilon).value
+        profile = ListProfile(quotient_bits, block_length, 0, counts)
+        exact = _at_prec(mp, 600, lambda: listsize.potential_mean(mp, profile, epsilon))
         if any(c and np.isinf(p) for c, p in zip(row, powers)):
             assert not np.isfinite(value)
         if np.isfinite(value):
@@ -463,6 +528,11 @@ class TestPotentialPowers:
         powers = listsize.potential_powers(1.0, 2, 1031, 5)
         assert powers[0] == 2.0**-5 and powers[1028] == 2.0**1023
         assert np.isinf(powers[1029:]).all()
+
+
+def _exact(end) -> Fraction:
+    """An mpf endpoint as an exact rational."""
+    return Fraction(*to_rational(end))
 
 
 def _at_prec(ctx, prec, build):
@@ -610,8 +680,8 @@ class TestPotentialStep:
             report = check_potential_step(code, eps, r)
             if not report.hypothesis_met or report.degenerate:
                 continue
-            state = potential(list_profile(code, r), eps)
-            threshold = float(1 + 2 * state.excess + state.excess**1.5)
+            t = potential(list_profile(code, r), eps).excess_float
+            threshold = 1 + 2 * t + t**1.5
             exceed = 0
             for b in range(1 << n):
                 ext = potential(list_profile(code.extended(BitVector(n, b)), r), eps)
@@ -819,21 +889,28 @@ class TestCosetStepEngine:
             assert check_potential_step(code, eps, radius) == report
 
     def test_degenerate_at_tiny_epsilon(self, monkeypatch):
-        # S rounds to 1 at 160 bits: T is below that resolution, and every
-        # class and P < sqrt(T) are decided in intervals.
+        # T = 2.9e-300 lies far below a 160-bit resolution, but S is exact:
+        # S != 1, so the report is not degenerate, and T and sqrt(T) are the
+        # correctly rounded floats of their exact values.
         code = code_from_ints(6, (0b100101,))
         report = check_potential_step(code, 1e-300, 2)
+        with mp.workprec(3000):
+            e = mp.mpf(1e-300) * 6 / (1 + mp.mpf(1e-300))
+            counts = list_profile_naive(code, 2).counts
+            t = sum(c * mp.mpf(2) ** (e * ell) for ell, c in counts) / 64 - 1
+            expected_t, expected_root = float(t), float(mp.sqrt(t))
         assert report == StepReport(
             hypothesis_met=True,
-            degenerate=True,
-            excess=0.0,
+            degenerate=False,
+            excess=expected_t,
             probability=Fraction(0),
-            markov_bound=0.0,
+            markov_bound=expected_root,
             holds=True,
         )
         assert report == dense_potential_step(code, 1e-300, 2)
-        # Every recheck answering "exceeds": the flag stays, and the count
-        # and P < sqrt(T) follow the rechecks.
+        # Every recheck answering "exceeds": the count follows the rechecks.
+        # At eps = 1e-310 the float of T is subnormal, so P < sqrt(T) is
+        # decided in intervals.
         monkeypatch.setattr(precise, "certified_le", lambda lhs, rhs: False)
         markov_calls = []
         real_less = precise.certified_less
@@ -843,8 +920,9 @@ class TestCosetStepEngine:
             return real_less(lhs, rhs)
 
         monkeypatch.setattr(precise, "certified_less", recorded_less)
-        forced = check_potential_step(code, 1e-300, 2)
-        assert forced.degenerate and not forced.holds
+        forced = check_potential_step(code, 1e-310, 2)
+        assert forced.excess < sys.float_info.min
+        assert not forced.degenerate and not forced.holds
         assert forced.probability == Fraction(62, 64)
         assert len(markov_calls) == 1
 
@@ -887,6 +965,11 @@ class TestEnvelope:
         # n (1 - H(0.1) - eps) = 10 - 2.8e-17 here, which rounds to 10.0 as a
         # double; the floor is taken on the interval endpoints themselves.
         assert max_envelope_steps(20, 2, 0.03100440641071878) == 9
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
+    def test_step_count_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(InvalidParameterError):
+            max_envelope_steps(20, 2, epsilon)
 
     def test_desk_scale_violation_exists(self):
         # Outside the finite-n hypothesis (2^7 delta_0 ~ 0.82 > 1/4) the

@@ -210,4 +210,5 @@ class TestPotentialExtremes:
         prof = list_profile(code, 10)
         state = potential(prof, 5.0)
         assert state.value_float == float("inf")
-        assert state.value > 1
+        # S >= lo 2^shift >= 2^1024.
+        assert state.lo.bit_length() - 1 + state.shift >= 1024
