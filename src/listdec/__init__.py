@@ -45,7 +45,6 @@ from .listsize import (
     StepReport,
     certify,
     check_potential_step,
-    check_sum_rule,
     check_tail_bound,
     envelope_trace,
     list_profile,

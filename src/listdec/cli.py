@@ -507,6 +507,23 @@ def config_from_args(args: argparse.Namespace) -> dict:
     }
 
 
+def check_params(params) -> None:
+    """Raise InvalidParameterError unless params is an object whose every
+    value has the type, or is one of the choices, that OPTIONS declares for
+    its key (an echoed config omits an absent value; null is not one).  A
+    bool is an int to Python but not here, and a float parameter takes an
+    int."""
+    if not isinstance(params, dict):
+        raise InvalidParameterError(f"params must be an object, got {params!r}")
+    for key, value in params.items():
+        spec = OPTIONS.get("--" + key.replace("_", "-"), {})
+        kind = spec.get("type")
+        if kind and type(value) not in ((int, float) if kind is float else (kind,)):
+            raise InvalidParameterError(f"{key} must be {kind.__name__}, got {value!r}")
+        if value not in spec.get("choices", [value]):
+            raise InvalidParameterError(f"{key} must be one of {spec['choices']}, got {value!r}")
+
+
 def run_config(config: dict) -> int:
     sub = config.get("subcommand")
     if sub not in HANDLERS:
@@ -516,7 +533,9 @@ def run_config(config: dict) -> int:
     for name, value in (("master_seed", master_seed), ("trials", 0 if trials is None else trials)):
         if type(value) is not int or value < 0:
             raise InvalidParameterError(f"{name} must be a nonnegative integer, got {value!r}")
-    result, exit_code, table = HANDLERS[sub](config.get("params", {}), master_seed, trials)
+    params = config.get("params", {})
+    check_params(params)
+    result, exit_code, table = HANDLERS[sub](params, master_seed, trials)
     csv_form = config.get("output_format", "json") == "csv"
     if csv_form and table is None:
         raise InvalidParameterError(f"subcommand {sub!r} has no CSV form")

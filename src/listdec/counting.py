@@ -126,7 +126,7 @@ class VolumeBoundReport:
     intersection_all_hold: bool
 
 
-def check_volume_bounds(n: int, r: int, include_intersection: bool = True) -> VolumeBoundReport:
+def check_volume_bounds(n: int, r: int) -> VolumeBoundReport:
     """Certify the volume sandwich and the per-distance intersection bound.
 
     Sandwich: 2^(H(p)n) / sqrt(8np(1-p)) <= C(n,r) <= Vol(n,r) <= 2^(H(p)n)
@@ -149,7 +149,7 @@ def check_volume_bounds(n: int, r: int, include_intersection: bool = True) -> Vo
     cp2n = Fraction(8 * r * (n - r), n)  # (C_p sqrt(n))^2
     checks = []
     all_hold = True
-    for d in range(1, (n + 1) if include_intersection else 1):
+    for d in range(1, n + 1):
         exact = intersection_volume(n, r, d)
         ratio = Fraction(exact, vol)
         # ratio <= (4pq)^(d/2) * C_p sqrt(n)  <=>  ratio^2 <= (4pq)^d * 8npq / n * n

@@ -23,7 +23,7 @@ MAX_WORDS = 1 << 26
 ENUM_MAX_WORDS = 1 << 20
 # Most ball increments of one scatter table, or coset pairs of one step check.
 SCATTER_MAX = 1 << 30
-# Largest block length of the sum-rule check and quotient of the step check.
+# Largest quotient of the step check: at most 2^16 coset classes.
 PAIR_CHECK_MAX_BITS = 16
 # Most entries of one transient pair array (words x ball, cosets x cosets).
 CHUNK_PAIRS = 1 << 24

@@ -23,8 +23,7 @@ center not listed has L = 0.  Two engines produce it:
 - the 2^n scatter table (scatter_table), which scatters each codeword's ball
   into one counter per center.  It serves code tables, whose view is
   (range(2^n), the table, 0), the Moser-Tardos rounds, every caller that
-  needs L per center (list_size_table, check_sum_rule), and the tests as the
-  oracle.
+  needs L per center (list_size_table), and the tests as the oracle.
 
 list_profile, certify and the separation experiment's maximum list read the
 view alone, so they do not know which engine ran.  Histograms, tail
@@ -38,11 +37,11 @@ float64 side (a row of coset counts times potential_powers, or the float of
 the exact potential), decided in floats where precise.settled and again
 otherwise.  accepts alone decides S_new <= the step bound (or S^2), against
 step_threshold, for the guided constructor's candidates and the step check's
-classes; precise.less takes the step check's other two decisions.  Every
-potential sum in intervals reads its powers 2^(e ell) from potential_power, a
-bounded cache keyed by the mpmath context, its precision, epsilon, the block
-length and ell, so each term is one multiply-add and each value is
-bit-identical to the power evaluated afresh.
+classes; precise.less takes the step check's other two decisions.  The
+bracket is the only source of S: a certified decision reads it as an interval
+(iv_excess) at the context's precision, so precise.certified's doubling
+narrows the bracket, and the intervals share power_bracket, the one cache of
+potential powers, with potential.
 """
 
 from __future__ import annotations
@@ -59,10 +58,8 @@ from .errors import InvalidParameterError, PrecisionError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
 from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
-# Entries of each power cache: potential_power holds one mpmath power per
-# (context, precision, epsilon, block length, list size), power_bracket one
-# pair of integer ends per (epsilon, block length, list size, bits), a few
-# hundred bytes each.
+# Entries of the power cache: power_bracket holds one pair of integer ends
+# per (epsilon, block length, list size, bits), a few hundred bytes each.
 POWER_CACHE_SIZE = 1024
 
 
@@ -339,27 +336,10 @@ class PotentialState:
     excess_float: float
 
 
-def potential_exponent(ctx, epsilon: float, block_length: int):
-    eps = ctx.mpf(epsilon)
-    return eps * block_length / (1 + eps)
-
-
 def exact_exponent(epsilon: float, block_length: int) -> Fraction:
     """The potential exponent e = eps n / (1 + eps) as an exact rational."""
     eps = Fraction(epsilon)
     return eps * block_length / (1 + eps)
-
-
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def potential_power(ctx, prec: int, epsilon: float, block_length: int, ell: int):
-    """2^(e ell) in ctx at precision prec, e the potential exponent.
-
-    The power is transcendental (mpmath takes a log and an exp at every
-    precision), but it depends only on the key, so each is computed once.
-    prec must be ctx.prec: it is in the key so that a value is never served
-    at another precision, and the value is the same mpf (or interval) that
-    the expression gives when evaluated afresh."""
-    return ctx.mpf(2) ** (potential_exponent(ctx, epsilon, block_length) * ell)
 
 
 @lru_cache(maxsize=POWER_CACHE_SIZE)
@@ -385,47 +365,46 @@ def quotient_float(num: int, den: int) -> float:
         return math.inf
 
 
-def _potential_at(profile: ListProfile, epsilon: float, bits: int) -> PotentialState | None:
-    """The potential from the power brackets at bits, or None when an end of
-    S or of T rounds to another float than the other end.
+def potential_bracket(profile: ListProfile, epsilon: float, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo 2^shift <= S <= hi 2^shift, S the profile's
+    potential, from the power brackets at bits.
 
-    Each power is floored (for lo) or ceiled (for hi) at the scale of the
-    largest, 2^(shift of the largest power), so the integers hold about
-    bits + universe_bits bits whatever e times the largest list size is.
-    S >= 1, so the ends of S below 1 and of T below 0 are clamped there."""
-    n = profile.block_length
+    Each power is floored (for lo) or ceiled (for hi) to a multiple of
+    2^scale, scale = (the largest power's shift) - u, u = universe_bits; a
+    power within u bits of the largest is kept exactly.  So the integers
+    hold about bits + 2u bits whatever e times the largest list size is.
+    The at most 2^u floored or ceiled counts widen the bracket by at most
+    2^(u+1) units, 2 units of the largest power's scale, and the exact ones
+    by at most 2^-bits relative, so it is within 2^(2 - bits) relative of S
+    however the counts are spread.  S >= 1, so lo is raised to 2^-shift
+    where it lies below."""
+    n, u = profile.block_length, profile.universe_bits
     terms = [(c, *power_bracket(epsilon, n, ell, bits)) for ell, c in profile.counts if c]
-    top = max(shift for _, _, _, shift in terms)
-    lo = sum(c * (p_lo >> (top - shift)) for c, p_lo, _, shift in terms)
-    hi = sum(c * -(-p_hi >> (top - shift)) for c, _, p_hi, shift in terms)
-    shift = top - profile.universe_bits
+    scale = max(shift for _, _, _, shift in terms) - u
+    lo = hi = 0
+    for c, p_lo, p_hi, shift in terms:
+        d = scale - shift
+        lo += c * (p_lo >> d if d > 0 else p_lo << -d)
+        hi += c * (-(-p_hi >> d) if d > 0 else p_hi << -d)
+    shift = scale - u
+    return max(lo, 1 << max(-shift, 0)), hi, shift
+
+
+def _potential_at(profile: ListProfile, epsilon: float, bits: int) -> PotentialState | None:
+    """The potential from its bracket at bits, or None when an end of S or
+    of T rounds to another float than the other end."""
+    lo, hi, shift = potential_bracket(profile, epsilon, bits)
     if lo.bit_length() + shift > 1026:
         # S and T are both at least 2^1025: each float is inf.
         return PotentialState(lo, hi, shift, math.inf, math.inf)
     # S lies in [s_lo, s_hi] / one.
     scale = min(shift, 0)
     s_lo, s_hi, one = lo << (shift - scale), hi << (shift - scale), 1 << -scale
-    value = quotient_float(max(s_lo, one), one)
-    excess = quotient_float(max(s_lo - one, 0), one)
+    value = quotient_float(s_lo, one)
+    excess = quotient_float(s_lo - one, one)
     if value != quotient_float(s_hi, one) or excess != quotient_float(s_hi - one, one):
         return None
     return PotentialState(lo, hi, shift, value, excess)
-
-
-def potential_sum(ctx, counts, epsilon: float, block_length: int):
-    """sum of c * 2^(e ell) over the pairs (ell, c) of counts, e the potential
-    exponent: a profile's potential times 2^universe_bits.  Each power comes
-    from potential_power, so a term is one multiply-add."""
-    total = ctx.mpf(0)
-    for ell, c in counts:
-        total += c * potential_power(ctx, ctx.prec, epsilon, block_length, ell)
-    return total
-
-
-def potential_mean(ctx, profile: ListProfile, epsilon: float):
-    """The potential S of the profile, in the arithmetic of ctx."""
-    total = potential_sum(ctx, profile.counts, epsilon, profile.block_length)
-    return total / (ctx.mpf(2) ** profile.universe_bits)
 
 
 def potential_powers(
@@ -543,36 +522,6 @@ def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for j, y in b.items():
             out[i + j] = out.get(i + j, 0) + x * y
     return out
-
-
-@dataclass(frozen=True)
-class SumRuleReport:
-    """Pointwise check of L_{C+{0,b}}(x) <= L_C(x) + L_C(x+b)."""
-
-    b_in_code: bool
-    inequality_holds: bool
-    equality_everywhere: bool
-    union_equals_base: bool
-    max_slack: int
-
-
-def check_sum_rule(code: LinearCode, b: BitVector, radius: int) -> SumRuleReport:
-    """Exhaustive over x: the union list size never exceeds the split sum,
-    with equality at every x exactly when b is outside the code."""
-    check_bits(code.n, 1 << PAIR_CHECK_MAX_BITS, "sum-rule check needs {} centers")
-    base = list_size_table(code, radius)
-    in_code = code.contains(b)
-    union = list_size_table(code.extended(b), radius)
-    idx = np.arange(len(base), dtype=np.int64)
-    split = base + base[idx ^ np.int64(b.bits)]
-    slack = split - union
-    return SumRuleReport(
-        b_in_code=in_code,
-        inequality_holds=bool((slack >= 0).all()),
-        equality_everywhere=bool((slack == 0).all()),
-        union_equals_base=bool((union == base).all()),
-        max_slack=int(slack.max()),
-    )
 
 
 @dataclass(frozen=True)
@@ -724,7 +673,9 @@ def check_potential_step(code, epsilon: float, radius: int) -> StepReport:
 
 
 def iv_excess(ctx, profile: ListProfile, epsilon: float):
-    return potential_mean(ctx, profile, epsilon) - 1
+    """T = S - 1 as an interval of ctx: the potential bracket at ctx.prec bits."""
+    lo, hi, shift = potential_bracket(profile, epsilon, ctx.prec)
+    return ctx.mpf([lo, hi]) * ctx.mpf(2) ** shift - 1
 
 
 def _iv_envelope(ctx, n: int, radius: int, epsilon: float, steps: int) -> list:

@@ -12,11 +12,16 @@
 - rank_table: the rank of every m x n matrix from a row-space automaton, and
   rank_list_profile_naive, the per-center rank recount it serves;
 - intersection_volume_double_sum: the exact double sum of binomials, the
-  twin of counting.intersection_volume.
+  twin of counting.intersection_volume;
+- potential_exponent, potential_mean and iv_excess: the potential summed
+  afresh in mpmath, every power 2^(e ell) evaluated on its own, the twin of
+  listsize's integer bracket (listsize.iv_excess).
 
-Two checks of paper claims that no command runs, and a display helper that
+Three checks of paper claims that no command runs, and a display helper that
 baseline_potential_bound and the dense step check share:
 
+- check_sum_rule: the union list size L_{C+{0,b}} against the split sum
+  L_C(x) + L_C(x+b) at every center, from the library's scatter tables;
 - verify_trace: a guided build's tracked potentials against each prefix's
   potential recomputed from scratch;
 - baseline_potential_bound: the rank zero code's potential against
@@ -40,10 +45,10 @@ from listdec import precise
 from listdec.constructors import PotentialTrace
 from listdec.counting import rank_ball_size
 from listdec.errors import InvalidParameterError, ResourceLimitError
-from listdec.gf2 import popcount_array
+from listdec.gf2 import BitVector, popcount_array
 from mpmath.libmp import to_float
 
-from listdec.listsize import LinearCode, ListProfile, list_profile, potential, potential_exponent
+from listdec.listsize import LinearCode, ListProfile, list_profile, list_size_table, potential
 from listdec.rankmetric import RankCode, RankParams
 
 NAIVE_MAX_BITS = 16
@@ -204,6 +209,54 @@ def eval_float(builder: Callable) -> float:
         return end if end == to_float(hi, rnd="n") else None
 
     return precise.certified(build)
+
+
+def potential_exponent(ctx, epsilon: float, block_length: int):
+    eps = ctx.mpf(epsilon)
+    return eps * block_length / (1 + eps)
+
+
+def potential_mean(ctx, profile: ListProfile, epsilon: float):
+    """The potential S of the profile in the arithmetic of ctx, each power
+    2^(e ell) evaluated afresh."""
+    e = potential_exponent(ctx, epsilon, profile.block_length)
+    total = ctx.mpf(0)
+    for ell, c in profile.counts:
+        total += c * ctx.mpf(2) ** (e * ell)
+    return total / ctx.mpf(2) ** profile.universe_bits
+
+
+def iv_excess(ctx, profile: ListProfile, epsilon: float):
+    return potential_mean(ctx, profile, epsilon) - 1
+
+
+@dataclass(frozen=True)
+class SumRuleReport:
+    """Pointwise check of L_{C+{0,b}}(x) <= L_C(x) + L_C(x+b)."""
+
+    b_in_code: bool
+    inequality_holds: bool
+    equality_everywhere: bool
+    union_equals_base: bool
+    max_slack: int
+
+
+def check_sum_rule(code: LinearCode, b: BitVector, radius: int) -> SumRuleReport:
+    """Exhaustive over x: the union list size never exceeds the split sum,
+    with equality at every x exactly when b is outside the code."""
+    base = list_size_table(code, radius)
+    in_code = code.contains(b)
+    union = list_size_table(code.extended(b), radius)
+    idx = np.arange(len(base), dtype=np.int64)
+    split = base + base[idx ^ np.int64(b.bits)]
+    slack = split - union
+    return SumRuleReport(
+        b_in_code=in_code,
+        inequality_holds=bool((slack >= 0).all()),
+        equality_everywhere=bool((slack == 0).all()),
+        union_equals_base=bool((union == base).all()),
+        max_slack=int(slack.max()),
+    )
 
 
 def verify_trace(code: LinearCode, trace: PotentialTrace) -> float:

@@ -18,14 +18,8 @@ import numpy as np
 from listdec import precise
 from listdec.errors import ResourceLimitError
 from listdec.limits import PAIR_CHECK_MAX_BITS
-from listdec.listsize import (
-    StepReport,
-    coset_counts,
-    iv_excess,
-    list_size_table,
-    potential_exponent,
-)
-from naive_oracle import eval_float, eval_midpoint, profile_from_table
+from listdec.listsize import StepReport, coset_counts, list_size_table
+from naive_oracle import eval_float, eval_midpoint, iv_excess, potential_exponent, profile_from_table
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ CALLED_FROM_OUTSIDE = {
     "rankmetric.certify_rank": PERFBENCH,
     "rankmetric.check_rank_potential_step": PERFBENCH,
     "rankmetric.enumerate_rank_ball": PERFBENCH,
-    "listsize.check_sum_rule": CLAIM,
     "counting.check_rank_ball_bounds": CLAIM,
     "secondmoment.check_rank_rate_bound": CLAIM,
     "listsize.max_envelope_steps": CLAIM,

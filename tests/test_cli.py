@@ -516,6 +516,28 @@ class TestSweep:
         assert run_cli("--config", str(path)) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "subcommand,params",
+        [
+            ("sweep", [1]),
+            ("certify", {"n": "8", "k": 3, "radius": 1, "max_list": 3}),
+            ("certify", {"n": 8, "k": 3.5, "radius": 1, "max_list": 3}),
+            ("profile", {"n": 8, "k": 3, "radius": 1, "epsilon": "0.1"}),
+            ("construct", {"kind": "guided", "n": 8, "k": 2, "radius": 1, "epsilon": 0.5,
+                           "max_retries": None}),
+            ("certify", {"n": 8, "k": True, "radius": 1, "max_list": 3}),
+            ("construct", {"kind": "greedy", "n": 8}),
+        ],
+        ids=["params-array", "n-string", "k-float", "epsilon-string", "retries-null", "k-bool",
+             "kind-unknown"],
+    )
+    def test_config_param_of_the_wrong_type_invalid(self, subcommand, params, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"subcommand": subcommand, "params": params}))
+        assert run_cli("--config", str(path)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid parameters:") and "Traceback" not in err
+
     def test_thread_count_not_an_integer_invalid(self, tmp_path, monkeypatch):
         grid = {"experiment": "certify", "base": {"n": 8, "radius": 1, "max_list": 2},
                 "grid": {"k": [3]}}

@@ -219,11 +219,15 @@ class TestGuidedBuilder:
         assert a[1] == b[1]
 
     def test_rebuild_hits_the_power_cache(self):
-        assert listsize.potential_power.cache_info().maxsize is not None
+        # The build fills power_bracket from empty; the identical rebuild
+        # reads every power from it.
+        assert listsize.power_bracket.cache_info().maxsize is not None
+        listsize.power_bracket.cache_clear()
         first = potential_guided_code(20, 6, 2, 0.2, Rng(2024, 0))
-        misses = listsize.potential_power.cache_info().misses
+        misses = listsize.power_bracket.cache_info().misses
+        assert misses > 0
         second = potential_guided_code(20, 6, 2, 0.2, Rng(2024, 0))
-        assert listsize.potential_power.cache_info().misses == misses
+        assert listsize.power_bracket.cache_info().misses == misses
         assert second[0].generators == first[0].generators
         assert second[1] == first[1]
 

@@ -239,14 +239,14 @@ class TestPastFloatRange:
     def test_volume_bounds_at_1024(self):
         # At r = n/2 the entropy power is 2^n; the lower bound 2^n / sqrt(2n)
         # is 2^1018.5 and stays finite.
-        report = check_volume_bounds(1024, 512, include_intersection=False)
+        report = check_volume_bounds(1024, 512)
         assert report.upper_bound == math.inf
         assert math.log2(report.lower_bound) == pytest.approx(1018.5, abs=1e-12)
         assert report.sandwich_holds
 
     @pytest.mark.parametrize("n,r", [(4, 1), (100, 7), (1000, 500), (1023, 511), (2000, 3)])
     def test_volume_bounds_in_float_range_unchanged(self, n, r):
-        report = check_volume_bounds(n, r, include_intersection=False)
+        report = check_volume_bounds(n, r)
         ep = entropy_power(n, r)
         assert report.upper_bound == float(ep)
         assert report.lower_bound == float(ep) / math.sqrt(float(Fraction(8 * r * (n - r), n)))

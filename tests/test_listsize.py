@@ -24,7 +24,6 @@ from listdec import (
     Rng,
     certify,
     check_potential_step,
-    check_sum_rule,
     check_tail_bound,
     envelope_trace,
     hamming_volume,
@@ -54,9 +53,11 @@ from listdec.listsize import (
 from listdec.rankmetric import RankCode, RankParams
 from naive_oracle import (
     certify_table,
+    check_sum_rule,
     coset_reduce_masked,
     list_profile_naive,
     naive_table,
+    potential_mean,
     profile_from_table,
 )
 from step_oracle import (
@@ -445,13 +446,9 @@ class TestPotential:
         # hold S (neither need contain the other: an exact power makes the
         # bracket tighter than 600 bits at large S), and its floats are the
         # floats of that interval (both ends round alike).
-        counts = dict(terms)
-        mass = sum(counts.values())
-        universe_bits = mass.bit_length() + extra_bits
-        counts[0] = counts.get(0, 0) + (1 << universe_bits) - mass
-        profile = ListProfile(universe_bits, block_length, 0, tuple(sorted(counts.items())))
+        profile = padded_profile(terms, extra_bits, block_length)
         state = potential(profile, epsilon)
-        s_iv = _at_prec(iv, 600, lambda: listsize.potential_mean(iv, profile, epsilon))
+        s_iv = _at_prec(iv, 600, lambda: potential_mean(iv, profile, epsilon))
         t_iv = _at_prec(iv, 600, lambda: s_iv - 1)
         s_lo, s_hi = (_exact(end) for end in s_iv._mpi_)
         scale = Fraction(2) ** state.shift
@@ -459,6 +456,46 @@ class TestPotential:
         for value, interval in ((state.value_float, s_iv), (state.excess_float, t_iv)):
             lo, hi = interval._mpi_
             assert value == to_float(lo, rnd="n") == to_float(hi, rnd="n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 1 << 40)), min_size=1, max_size=6),
+        st.integers(0, 20),
+        st.floats(1e-6, 60.0) | st.sampled_from([1e-300, 0.5, 1.0, 3.0]),
+        st.integers(1, 62),
+    )
+    @example([(1, 1)], 0, 1e-300, 6)
+    def test_interval_excess_reads_the_bracket_at_its_precision(
+        self, terms, extra_bits, epsilon, block_length
+    ):
+        # At each precision the interval of T starts at 0 or above (S >= 1),
+        # overlaps the 1200-bit interval summed afresh, and is at most
+        # 2^(8 - prec) times S wide: a bracket read at a fixed F would not be.
+        profile = padded_profile(terms, extra_bits, block_length)
+        fresh = _at_prec(iv, 1200, lambda: potential_mean(iv, profile, epsilon) - 1)
+        f_lo, f_hi = (_exact(end) for end in fresh._mpi_)
+        for prec in (120, 240, 480):
+            t = _at_prec(iv, prec, lambda: listsize.iv_excess(iv, profile, epsilon))
+            lo, hi = (_exact(end) for end in t._mpi_)
+            assert 0 <= lo and lo <= f_hi and f_lo <= hi
+            assert hi - lo <= (1 + hi) * Fraction(2) ** (8 - prec)
+
+    def test_bracket_miss_keeps_the_certified_precision(self):
+        # A power_bracket miss evaluates at bits + 64 and restores iv.prec, so
+        # every evaluation of the loop runs at the precision it was given.
+        listsize.power_bracket.cache_clear()
+        profile = list_profile(random_linear_code(10, 3, Rng(31, 0)), 2)
+        seen = []
+
+        def build(ctx):
+            before = ctx.prec
+            listsize.iv_excess(ctx, profile, 0.3)
+            seen.append((before, ctx.prec))
+            return True if ctx.prec >= 480 else None
+
+        assert precise.certified(build)
+        assert seen == [(120, 120), (240, 240), (480, 480)]
+        assert listsize.power_bracket.cache_info().misses > 0
 
     def test_monotone_in_epsilon(self):
         prof = list_profile(random_linear_code(10, 4, Rng(27, 0)), 2)
@@ -515,7 +552,7 @@ class TestPotentialPowers:
             value = float(row @ powers[: len(row)])
         counts = tuple((ell, int(c)) for ell, c in enumerate(row) if c)
         profile = ListProfile(quotient_bits, block_length, 0, counts)
-        exact = _at_prec(mp, 600, lambda: listsize.potential_mean(mp, profile, epsilon))
+        exact = _at_prec(mp, 600, lambda: potential_mean(mp, profile, epsilon))
         if any(c and np.isinf(p) for c, p in zip(row, powers)):
             assert not np.isfinite(value)
         if np.isfinite(value):
@@ -528,6 +565,16 @@ class TestPotentialPowers:
         powers = listsize.potential_powers(1.0, 2, 1031, 5)
         assert powers[0] == 2.0**-5 and powers[1028] == 2.0**1023
         assert np.isinf(powers[1029:]).all()
+
+
+def padded_profile(terms, extra_bits: int, block_length: int) -> ListProfile:
+    """The profile with counts from terms (ell, count), over the least
+    universe that holds them widened by extra_bits, the rest at ell = 0."""
+    counts = dict(terms)
+    mass = sum(counts.values())
+    universe_bits = mass.bit_length() + extra_bits
+    counts[0] = counts.get(0, 0) + (1 << universe_bits) - mass
+    return ListProfile(universe_bits, block_length, 0, tuple(sorted(counts.items())))
 
 
 def _exact(end) -> Fraction:
@@ -543,38 +590,6 @@ def _at_prec(ctx, prec, build):
             return build()
         finally:
             ctx.prec = old
-
-
-class TestPotentialPowerCache:
-    PRECS = (53, 120, 160, 240, 480, 240, 160, 120, 53)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 1 << 40)), min_size=1, max_size=6),
-        st.floats(1e-6, 4.0),
-        st.integers(1, 62),
-    )
-    def test_bit_identical_to_fresh_powers(self, counts, epsilon, block_length):
-        # The precisions interleave, so a cache key without the precision
-        # would serve a value computed at another one.
-        for ctx in (mp, iv):
-            for prec in self.PRECS:
-
-                def fresh():
-                    e = listsize.potential_exponent(ctx, epsilon, block_length)
-                    total = ctx.mpf(0)
-                    for ell, c in counts:
-                        total += c * ctx.mpf(2) ** (e * ell)
-                    return total
-
-                cached = _at_prec(
-                    ctx, prec, lambda: listsize.potential_sum(ctx, counts, epsilon, block_length)
-                )
-                expected = _at_prec(ctx, prec, fresh)
-                if ctx is mp:
-                    assert cached.man_exp == expected.man_exp
-                else:
-                    assert cached._mpi_ == expected._mpi_
 
 
 class TestSumRule:
