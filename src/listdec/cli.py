@@ -390,6 +390,7 @@ def cmd_sweep(params: dict, master_seed, trials):
 
     def run_cell(index):
         try:
+            check_params(cells[index])
             return _sweep_cell(experiment, cells[index], master_seed, index, cell_trials)
         except InvalidParameterError as exc:
             return {"status": f"invalid: {exc}"}

@@ -19,9 +19,9 @@ from operator import mul
 import numpy as np
 
 from . import limits, precise
-from .counting import hamming_volume, log2_value
+from .counting import float_or_inf, hamming_volume, log2_value
 from .errors import ConstructionError, InvalidParameterError
-from .gf2 import BitVector, Rng, SpanBasis, ball_masks, popcount_array
+from .gf2 import BitVector, Rng, SpanBasis, ball_masks
 from .listsize import (
     HammingMetric,
     LinearCode,
@@ -235,7 +235,12 @@ class LLLReport:
 
 def lll_condition(n: int, radius: int, num_messages: int, max_list: int) -> LLLReport:
     """Evaluate e * p_bad * (d + 1) with p_bad = (Vol/2^n)^(L+1) and
-    d = 2^n (L+1) M^L; feasible when the product is certifiably below 1."""
+    d = 2^n (L+1) M^L; feasible when the product is certifiably below 1.
+
+    The decision is precise.less on the float e * float(p_bad (d + 1)): that
+    float is within about 3 * 2^-53 relative of the product, or underflows
+    toward 0 when the product is far below 1, so settled decides it exactly;
+    a product near 1, or past float range, goes to the intervals."""
     if max_list < 1:
         raise InvalidParameterError(f"max_list must be at least 1, got {max_list}")
     if num_messages < max_list + 1:
@@ -245,7 +250,9 @@ def lll_condition(n: int, radius: int, num_messages: int, max_list: int) -> LLLR
     mu = Fraction(hamming_volume(n, radius), 1 << n)
     p_bad = mu ** (max_list + 1)
     degree = (1 << n) * (max_list + 1) * num_messages**max_list
-    feasible = precise.certified_less(
+    feasible = precise.less(
+        math.e * float_or_inf(p_bad * (degree + 1)),
+        1.0,
         lambda ctx: ctx.exp(1) * precise.iv_fraction(ctx, p_bad) * (degree + 1),
         lambda ctx: ctx.mpf(1),
     )
@@ -295,7 +302,8 @@ def moser_tardos_construct(
     resampled messages' old words and adds those of their fresh words, so a
     round costs O(|resampled| * Vol).  The least overfull center comes from
     ascending queues of overfull centers, kept up to date from the centers
-    each round touched, never from a scan of the table."""
+    each round's adds push over max_list, never from a scan of the table; an
+    entry whose count has dropped is skipped at the head."""
     if max_rounds is None:
         max_rounds = 10 * num_messages
     if max_rounds < 1:
@@ -318,20 +326,31 @@ def moser_tardos_construct(
     later: list[int] = []
     events: list[ResampleEvent] = []
     rounds = 0
+    # The witness scan writes into buffers allocated once.
+    diffs = np.empty(num_messages, dtype=np.int64)
+    weights = np.empty(num_messages, dtype=np.uint8)
+    near = np.empty(num_messages, dtype=bool)
     while True:
         while head < len(first) and table[first[head]] <= max_list:
             head += 1
         while later and table[later[0]] <= max_list:
             heapq.heappop(later)
-        heads = ([int(first[head])] if head < len(first) else []) + later[:1]
-        if not heads:
+        if head < len(first):
+            witness = int(first[head])
+            if later and later[0] < witness:
+                witness = later[0]
+        elif later:
+            witness = later[0]
+        else:
             break
         if rounds >= max_rounds:
             raise ConstructionError(
                 f"no decodable table after {max_rounds} rounds", partial=CodeTable(n, words)
             )
-        witness = min(heads)
-        inside = np.nonzero(popcount_array(words ^ np.int64(witness)) <= radius)[0]
+        np.bitwise_xor(words, witness, out=diffs)
+        np.bitwise_count(diffs, out=weights)
+        np.less_equal(weights, radius, out=near)
+        (inside,) = near.nonzero()
         old = words[inside]
         fresh = rng.bit_array(n, len(inside))
         words[inside] = fresh
@@ -340,6 +359,9 @@ def moser_tardos_construct(
         # Only centers in a fresh ball gained, and the adds never lower a
         # count, so a center that turns overfull crosses max_list in exactly
         # one chunk; one still overfull after the subtraction is queued already.
+        # (Pushing every overfull center of a fresh ball instead would save a
+        # gather per chunk but grow the heap by up to |fresh| * Vol entries a
+        # round where most centers stay overfull.)
         for centers in outer_xor_chunks(fresh, ball):
             below = table[centers] <= max_list
             np.add.at(table, centers, 1)
@@ -349,9 +371,9 @@ def moser_tardos_construct(
             ResampleEvent(
                 round_index=rounds,
                 center=witness,
-                message_indices=tuple(int(i) for i in inside),
-                old_words=tuple(int(w) for w in old),
-                new_words=tuple(int(w) for w in fresh),
+                message_indices=tuple(inside.tolist()),
+                old_words=tuple(old.tolist()),
+                new_words=tuple(fresh.tolist()),
             )
         )
         rounds += 1

@@ -100,9 +100,6 @@ class RankCode:
     def rate(self) -> float:
         return self.effective_dim / self.params.universe_bits
 
-    def contains(self, x: BitMatrix) -> bool:
-        return self.basis.contains(x.to_flat())
-
     def codeword_array(self) -> np.ndarray:
         return self.basis.enumerate()
 

@@ -245,8 +245,8 @@ def check_sum_rule(code: LinearCode, b: BitVector, radius: int) -> SumRuleReport
     """Exhaustive over x: the union list size never exceeds the split sum,
     with equality at every x exactly when b is outside the code."""
     base = list_size_table(code, radius)
-    in_code = code.contains(b)
-    union = list_size_table(code.extended(b), radius)
+    in_code = code.basis.contains(b.bits)
+    union = list_size_table(LinearCode(code.n, code.generators + (b,)), radius)
     idx = np.arange(len(base), dtype=np.int64)
     split = base + base[idx ^ np.int64(b.bits)]
     slack = split - union

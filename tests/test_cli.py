@@ -538,6 +538,17 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("invalid parameters:") and "Traceback" not in err
 
+    def test_cell_param_of_the_wrong_type_invalid(self, tmp_path):
+        # base and grid each pass, but the merged cell's n is a string: the
+        # cell reports invalid, not a failure, and the sweep still exits 0.
+        grid = {"experiment": "certify", "base": {"n": "8", "radius": 1, "max_list": 2},
+                "grid": {"k": [3]}}
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--grid", self.write_grid(tmp_path, grid), "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        (row,) = csv.DictReader(lines)
+        assert row["status"] == "invalid: n must be int, got '8'"
+
     def test_thread_count_not_an_integer_invalid(self, tmp_path, monkeypatch):
         grid = {"experiment": "certify", "base": {"n": 8, "radius": 1, "max_list": 2},
                 "grid": {"k": [3]}}

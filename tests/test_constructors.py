@@ -494,6 +494,32 @@ class TestLLLCondition:
         assert report.product_log2 == pytest.approx(float(exact), rel=1e-12)
         assert report.feasible
 
+    # Products from 0 in floats (underflow) through 0.17-5.0 to past float
+    # range: 144 points, 50 of them feasible.
+    GRID = [
+        (n, r, m, l)
+        for n in (4, 10, 18, 30)
+        for r in (0, 1, 3)
+        for l in (1, 3, 8, 50)
+        for m in (l + 1, 4000, 1 << 40)
+    ]
+
+    def test_float_decision_matches_intervals(self, monkeypatch):
+        fast = [lll_condition(*point).feasible for point in self.GRID]
+        # An infinite margin settles no float pair: every decision is certified.
+        monkeypatch.setattr(precise, "RECHECK_MARGIN", math.inf)
+        assert fast == [lll_condition(*point).feasible for point in self.GRID]
+        assert sum(fast) == 50
+
+    def test_benchmark_point_decides_in_floats(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the benchmark point went to intervals")
+
+        monkeypatch.setattr(precise, "certified_less", unreachable)
+        report = lll_condition(18, 1, 4000, 3)
+        assert not report.feasible
+        assert 2**report.product_log2 == pytest.approx(5.034, abs=1e-3)
+
 
 class TestMoserTardos:
     def test_trivial_when_list_budget_covers_messages(self):
@@ -627,6 +653,15 @@ class TestMoserTardosIncremental:
 
     def test_resampling_sweep_matches_oracle(self):
         self.sweep_against_oracle()
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_benchmark_point_matches_oracle(self, seed):
+        # n = 18, M = 4000: the first table queues dozens of overfull centers
+        # and the rounds push more, which the small points above never do.
+        args = (18, 1, 4000, 3)
+        fast = mt_outcome(moser_tardos_construct, *args, Rng(seed, 2))
+        assert fast[0] == "ok" and fast[2] > 20
+        assert fast == mt_outcome(rebuild_moser_tardos, *args, Rng(seed, 2))
 
     def test_chunked_updates_match_oracle(self, monkeypatch):
         # Chunks smaller than one ball: every update spans many chunks, and a

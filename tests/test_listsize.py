@@ -640,11 +640,11 @@ class TestSumRule:
             n = rng.integer(4, 10)
             code = random_linear_code(n, rng.integer(0, n - 2), rng.substream(i))
             b = BitVector(n, rng.bits(n))
-            if code.contains(b):
+            if code.basis.contains(b.bits):
                 continue
             r = rng.integer(0, 3)
             prof = list_profile(code, r)
-            prof_ext = list_profile(code.extended(b), r)
+            prof_ext = list_profile(LinearCode(n, code.generators + (b,)), r)
             for ell in range(1, prof.max_ell + 1):
                 _, q_old = tail_stats(prof, ell)
                 _, q_new = tail_stats(prof_ext, ell)
@@ -699,7 +699,8 @@ class TestPotentialStep:
             threshold = 1 + 2 * t + t**1.5
             exceed = 0
             for b in range(1 << n):
-                ext = potential(list_profile(code.extended(BitVector(n, b)), r), eps)
+                extended = LinearCode(n, code.generators + (BitVector(n, b),))
+                ext = potential(list_profile(extended, r), eps)
                 margin = abs(ext.value_float - threshold)
                 assert margin > 1e-9 * threshold, "candidate too close to classify in floats"
                 exceed += ext.value_float > threshold
@@ -761,41 +762,73 @@ def level_tables(draw):
     return table, draw(st.sampled_from([1, 2, 5, 1 << 24]))
 
 
+def all_pairs(left, right) -> list[int]:
+    """The sorted multiset of every left[i] ^ right[j], counted pair by pair."""
+    return sorted(int(a) ^ int(b) for a in left for b in right)
+
+
 class TestChunkSetting:
     """limits.CHUNK_PAIRS, read at call time, bounds every outer-XOR chunk of
-    scatter_table and coset_pair_weights (one whole row if a row is longer)."""
+    scatter_table and coset_pair_weights, and the chunks of one call together
+    hold every pair exactly once (in no promised order)."""
 
     @staticmethod
-    def chunk_lengths(monkeypatch, cap: int) -> list[tuple[int, int]]:
-        """Set the cap; the returned list fills with (chunk length, row
-        length) for every chunk outer_xor_chunks yields."""
+    def chunk_calls(monkeypatch, cap: int) -> list[tuple[np.ndarray, np.ndarray, list]]:
+        """Set the cap; the returned list fills with (left, right, chunks) for
+        every call of outer_xor_chunks."""
         monkeypatch.setattr(limits, "CHUNK_PAIRS", cap)
-        seen = []
+        calls = []
         original = listsize.outer_xor_chunks
 
         def spy(left, right):
+            chunks = []
+            calls.append((left, right, chunks))
             for chunk in original(left, right):
-                seen.append((len(chunk), len(right)))
+                chunks.append(chunk.copy())
                 yield chunk
 
         monkeypatch.setattr(listsize, "outer_xor_chunks", spy)
-        return seen
+        return calls
+
+    @staticmethod
+    def assert_capped_and_complete(calls, cap: int) -> None:
+        assert calls
+        for left, right, chunks in calls:
+            assert all(len(chunk) <= cap for chunk in chunks)
+            assert sorted(np.concatenate(chunks).tolist()) == all_pairs(left, right)
 
     def test_scatter_table(self, monkeypatch):
+        # 37 words against an 11-word ball: the words, the longer operand,
+        # make up each row, and every cap here slices that row.
         words = Rng(71, 0).bit_array(10, 37)
         ball = ball_masks(10, 1)
         full = scatter_table(words, ball, 10)
-        seen = self.chunk_lengths(monkeypatch, 2 * len(ball))
-        assert (scatter_table(words, ball, 10) == full).all()
-        assert [length for length, _ in seen] == [2 * len(ball)] * 18 + [len(ball)]
+        for cap in (1, 7, 22):
+            with monkeypatch.context() as patched:
+                calls = self.chunk_calls(patched, cap)
+                assert (scatter_table(words, ball, 10) == full).all()
+            self.assert_capped_and_complete(calls, cap)
 
     def test_coset_pair_weights(self, monkeypatch):
         table = np.full(64, 2, dtype=np.int64)
         table[[1, 7, 20, 33, 60]] = 0
         table[[2, 3, 5, 11, 13]] = 1
-        seen = self.chunk_lengths(monkeypatch, 1)
+        calls = self.chunk_calls(monkeypatch, 1)
         assert (coset_pair_weights(table) == class_pair_counts(table)).all()
-        assert len(seen) == 15 and all(length == row for length, row in seen)
+        assert len(calls) == 3
+        self.assert_capped_and_complete(calls, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1023), max_size=40),
+        st.lists(st.integers(0, 1023), max_size=40),
+        st.sampled_from([1, 3, 7, 1 << 24]),
+    )
+    def test_chunks_hold_every_pair_under_the_cap(self, left, right, cap):
+        left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+        with mock.patch.object(limits, "CHUNK_PAIRS", cap):
+            chunks = list(listsize.outer_xor_chunks(left, right))
+        self.assert_capped_and_complete([(left, right, chunks)], cap)
 
 
 class TestCosetPairWeights:
