@@ -170,10 +170,11 @@ def outer_xor_chunks(left: np.ndarray, right: np.ndarray):
     call time.  When every pair fits under the cap they come as one chunk
     (empty if an operand is).
 
-    The longer operand runs along the contiguous axis (4000 words against a
-    19-word ball XOR about four times faster that way than the other way
-    round), sliced where one of its rows would pass the cap; every caller
-    feeds the pairs to bincount or ufunc.at, which do not see their order."""
+    The longer operand runs along the contiguous axis, which makes the XOR
+    several times faster when the other is short (a ball against many
+    words), and is sliced where one of its rows would pass the cap; every
+    caller feeds the pairs to bincount or ufunc.at, which do not see their
+    order."""
     if len(left) > len(right):
         left, right = right, left
     cap = limits.CHUNK_PAIRS
