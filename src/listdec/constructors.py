@@ -165,9 +165,16 @@ def potential_guided_code(
     state = potential(profile, epsilon)
     records = [StepRecord(step=0, value=state.value_float, excess=state.excess_float, retries=0)]
 
+    def built() -> LinearCode:
+        # Inserting gens in order builds exactly basis, so the code's basis
+        # cached_property is seeded with it rather than rebuilt on first use.
+        code = LinearCode(n, tuple(gens))
+        vars(code)["basis"] = basis
+        return code
+
     def fail(msg: str):
         trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
-        raise ConstructionError(msg, partial=(LinearCode(n, tuple(gens)), trace))
+        raise ConstructionError(msg, partial=(built(), trace))
 
     for step in range(1, k + 1):
         # The code extended by a candidate b has 2^quotient_bits cosets, and
@@ -216,9 +223,8 @@ def potential_guided_code(
             retries += 1
             if retries > max_retries_per_step:
                 fail(f"step {step}: retry budget exhausted")
-    code = LinearCode(n, tuple(gens))
     trace = PotentialTrace(n=n, radius=radius, epsilon=epsilon, rule=rule, records=tuple(records))
-    return code, trace
+    return built(), trace
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,12 @@ step_threshold, for the guided constructor's candidates and the step check's
 classes; precise.less takes the step check's other two decisions.  The
 bracket is the only source of S: a certified decision reads it as an interval
 (iv_excess) at the context's precision, so precise.certified's doubling
-narrows the bracket, and the intervals share power_bracket, the one cache of
-potential powers, with potential.
+narrows the bracket, and the intervals share power_bracket, the cache of the
+exact powers, with potential.  Two more caches of the same bound
+(POWER_CACHE_SIZE) hold pure functions of immutable inputs: potential's
+states per (profile, epsilon), and potential_powers' read-only float rows per
+(epsilon, block_length, width, quotient_bits); the guided builder asks again
+and again for the same few.
 """
 
 from __future__ import annotations
@@ -58,8 +62,11 @@ from .errors import InvalidParameterError, PrecisionError
 from .gf2 import BitVector, SpanBasis, ball_masks, popcount_array
 from .limits import MAX_WORDS, PAIR_CHECK_MAX_BITS, SCATTER_MAX, check_bits, check_count
 
-# Entries of the power cache: power_bracket holds one pair of integer ends
-# per (epsilon, block length, list size, bits), a few hundred bytes each.
+# Entries of each potential cache.  power_bracket holds one pair of integer
+# ends per (epsilon, block length, list size, bits), a few hundred bytes
+# each; potential one state per (profile, epsilon), whose two ends hold
+# about F + 2 universe_bits bits; potential_powers one float row of 8 bytes
+# per entry per (epsilon, block length, width, quotient bits).
 POWER_CACHE_SIZE = 1024
 
 
@@ -413,12 +420,14 @@ def _potential_at(profile: ListProfile, epsilon: float, bits: int) -> PotentialS
     return PotentialState(lo, hi, shift, value, excess)
 
 
+@lru_cache(maxsize=POWER_CACHE_SIZE)
 def potential_powers(
     epsilon: float, block_length: int, width: int, quotient_bits: int
 ) -> np.ndarray:
     """The float64 vector 2^(e ell - quotient_bits) for ell < width, e the
     potential exponent; an entry whose exponent reaches 1024 is inf, and no
-    overflow warning is raised.  A row of coset counts (row[ell] of the
+    overflow warning is raised.  Cached per argument tuple, so the array is
+    read-only: every caller shares it.  A row of coset counts (row[ell] of the
     2^quotient_bits cosets of a span have L = ell) has potential
     S = row @ powers[:len(row)]; once a term overflows it is inf, or NaN where
     a zero count meets an inf power, and precise.settled sends either to an
@@ -431,14 +440,13 @@ def potential_powers(
     each.  The terms are nonnegative, so the dot product adds at most
     (width - 1) u relative: S within 5e-13 relative for width <= 600."""
     e = epsilon * block_length / (1 + epsilon)
-    exponents = e * np.arange(width) - quotient_bits
-    if e * (width - 1) - quotient_bits < 1023:
-        # Every entry is below 2^1023: nothing overflows.
-        return np.exp2(exponents)
     with np.errstate(over="ignore"):
-        return np.exp2(exponents)
+        powers = np.exp2(e * np.arange(width) - quotient_bits)
+    powers.flags.writeable = False
+    return powers
 
 
+@lru_cache(maxsize=POWER_CACHE_SIZE)
 def potential(profile: ListProfile, epsilon: float) -> PotentialState:
     """The potential S of the profile, exactly: the sum of c 2^(e ell) over
     its counts, bracketed between integer sums of the cached power_bracket
@@ -447,7 +455,9 @@ def potential(profile: ListProfile, epsilon: float) -> PotentialState:
     same float.  A power with e ell an integer is exact, so S = 1 has a
     bracket of width 0, and so does any S whose powers are all exact once F
     exceeds the spread of their exponents: such an S settles even on a float
-    midpoint."""
+    midpoint.  The profile and the state are frozen and the state depends on
+    nothing else, so states are cached per (profile, epsilon); a call that
+    raises caches nothing."""
     limits.check_epsilon(epsilon)
     bits = precise.DEFAULT_PREC
     while bits <= precise.MAX_PREC:

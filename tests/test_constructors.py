@@ -219,17 +219,45 @@ class TestGuidedBuilder:
         assert a[1] == b[1]
 
     def test_rebuild_hits_the_power_cache(self):
-        # The build fills power_bracket from empty; the identical rebuild
-        # reads every power from it.
+        # The build fills power_bracket and potential's cache from empty (a
+        # warm potential cache would ask power_bracket for nothing); the
+        # identical rebuild reads every power and every state from them.
         assert listsize.power_bracket.cache_info().maxsize is not None
         listsize.power_bracket.cache_clear()
+        listsize.potential.cache_clear()
         first = potential_guided_code(20, 6, 2, 0.2, Rng(2024, 0))
         misses = listsize.power_bracket.cache_info().misses
         assert misses > 0
+        state_misses = listsize.potential.cache_info().misses
         second = potential_guided_code(20, 6, 2, 0.2, Rng(2024, 0))
         assert listsize.power_bracket.cache_info().misses == misses
+        assert listsize.potential.cache_info().misses == state_misses
         assert second[0].generators == first[0].generators
         assert second[1] == first[1]
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            ((20, 6, 2, 0.2), {}),
+            ((14, 5, 2, 0.3), {"rule": "square"}),
+            ((14, 7, 2, 0.6), {"max_retries_per_step": 2}),
+            ((8, 2, 8, 1.0), {"max_retries_per_step": 3}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_code_carries_the_builders_basis(self, args, kwargs, seed):
+        # The returned code, or the partial one of a ConstructionError, holds
+        # the builder's SpanBasis, pivot for pivot in the same order as one
+        # rebuilt from its generators, and certifies like a fresh code.
+        outcome = guided_outcome(potential_guided_code, *args, Rng(61, seed), **kwargs)
+        code = outcome[-2]
+        assert "basis" in vars(code)
+        rebuilt = SpanBasis(g.bits for g in code.generators)
+        assert list(code.basis.pivots.items()) == list(rebuilt.pivots.items())
+        n, radius = args[0], args[2]
+        for max_list in (1, 4):
+            fresh = LinearCode(n, code.generators)
+            assert certify(code, radius, max_list) == certify(fresh, radius, max_list)
 
     def test_potential_only_for_accepted_candidates(self, monkeypatch):
         # Candidates are decided in float64: the exact potential runs for

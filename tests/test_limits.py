@@ -2,11 +2,12 @@
 is the only module that raises ResourceLimitError, and the chunk size is read
 from it at call time.  Likewise one owner for the float decision margin: only
 listdec.precise names RECHECK_MARGIN.  Every epsilon is checked by one helper,
-limits.check_epsilon."""
+limits.check_epsilon, and every functools cache has a finite maxsize."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
@@ -88,3 +89,31 @@ def test_epsilon_must_be_finite_and_positive(epsilon):
     with pytest.raises(InvalidParameterError):
         limits.check_epsilon(epsilon)
     limits.check_epsilon(1e-300)
+
+
+def cache_wrappers():
+    """(qualified name, wrapper) for every functools cache bound at module or
+    class level in a module of listdec."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue  # importing it runs the CLI; see the test below
+        module = importlib.import_module("listdec" if path.stem == "__init__" else f"listdec.{path.stem}")
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+        for scope in (module, *classes):
+            for value in vars(scope).values():
+                value = getattr(value, "__func__", value)  # staticmethod, classmethod
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                    yield f"{module.__name__}.{value.__qualname__}", value
+
+
+def test_every_cache_is_bounded():
+    # An lru_cache with maxsize=None (or functools.cache) holds every key it
+    # is ever asked for, for the life of the process.
+    wrappers = dict(cache_wrappers())
+    known = {"gf2.ball_masks", "rankmetric.rank_ball_masks", "listsize.power_bracket",
+             "listsize.potential", "listsize.potential_powers"}
+    assert {f"listdec.{name}" for name in known} <= set(wrappers)
+    assert {name for name, fn in wrappers.items() if fn.cache_info().maxsize is None} == set()
+    main = ast.parse((SRC / "__main__.py").read_text())
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(main)}
+    assert not named & {"lru_cache", "cache"}

@@ -567,6 +567,42 @@ class TestPotentialPowers:
         assert np.isinf(powers[1029:]).all()
 
 
+class TestPotentialMemos:
+    # Each memo is asked at two epsilons and two block lengths with the rest
+    # fixed, so a cache key that dropped either would hand back another's
+    # value.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 1 << 40)), min_size=1, max_size=6),
+        st.integers(0, 20),
+        st.lists(st.floats(1e-6, 60.0) | st.sampled_from([0.5, 1.0, 3.0]), min_size=2, max_size=2),
+        st.lists(st.integers(1, 62), min_size=2, max_size=2),
+    )
+    def test_cached_potential_is_the_uncached_one(self, terms, extra_bits, epsilons, lengths):
+        for block_length in lengths:
+            profile = padded_profile(terms, extra_bits, block_length)
+            for epsilon in epsilons:
+                assert potential(profile, epsilon) == potential.__wrapped__(profile, epsilon)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(1e-6, 200.0), min_size=2, max_size=2),
+        st.lists(st.integers(1, 62), min_size=2, max_size=2),
+        st.integers(1, 40),
+        st.integers(0, 30),
+    )
+    def test_cached_powers_are_a_fresh_read_only_row(self, epsilons, lengths, width, quotient_bits):
+        for epsilon in epsilons:
+            for block_length in lengths:
+                powers = listsize.potential_powers(epsilon, block_length, width, quotient_bits)
+                e = epsilon * block_length / (1 + epsilon)
+                with np.errstate(over="ignore"):
+                    fresh = np.exp2(e * np.arange(width) - quotient_bits)
+                np.testing.assert_array_equal(powers, fresh)
+                with pytest.raises(ValueError):
+                    powers[0] = 0.0
+
+
 def padded_profile(terms, extra_bits: int, block_length: int) -> ListProfile:
     """The profile with counts from terms (ell, count), over the least
     universe that holds them widened by extra_bits, the rest at ell = 0."""
